@@ -60,7 +60,7 @@ from .polymer import (
     verify_cn_bound,
 )
 from .polynomial import ONE, IntPolynomial, X
-from .roots import RootSet, polynomial_roots
+from .roots import RootSet, polynomial_roots, roots_inside
 from .series import (
     TruncatedSeries,
     series_radius,
@@ -123,6 +123,7 @@ __all__ = [
     "parse_graph",
     "penrose_report",
     "polynomial_roots",
+    "roots_inside",
     "series_radius",
     "signed_connected_sum",
     "sokal_bound",

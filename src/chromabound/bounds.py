@@ -12,7 +12,8 @@ Three nested bounds, each a one-dimensional minimization:
 The module also evaluates the per-graph bound a second way, through the
 truncated rooted-tree series with a certified-enough tail, computes the
 two limiting constants of the degree-only bounds, and verifies actual
-zero-freeness by locating every chromatic root.
+zero-freeness: the largest modulus of the chromatic roots is certified
+by an exact disk test over the integers, so a verified flag is a proof.
 """
 
 from __future__ import annotations
@@ -279,10 +280,12 @@ def verify_zero_free(
 ) -> BoundReport:
     """Locate every chromatic root and compare against the bounds.
 
-    The verified flag records whether the largest root modulus falls
-    strictly inside the strongest applicable bound (the per-graph bound
-    for degree >= 2, the degree-2 improved bound for degenerate
-    graphs).
+    The verified flag records whether the certified largest root modulus
+    falls strictly inside the strongest applicable bound (the per-graph
+    bound for degree >= 2, the degree-2 improved bound for degenerate
+    graphs). Every root has modulus at most ``max_root_modulus``, so a
+    true flag proves the graph's chromatic polynomial zero-free on
+    |q| >= bound.
     """
     p = chromatic_polynomial(g, max_vertices=max_vertices)
     rs = polynomial_roots(p, tol)

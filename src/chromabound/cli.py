@@ -277,8 +277,13 @@ def _cmd_verify(args, parser) -> int:
     def record(name: str, status: str, detail: str) -> None:
         checks.append({"name": name, "status": status, "detail": detail})
 
-    tree_estimate = spanning_tree_count(g)
-    if tree_estimate > _TREE_CENSUS_CAP:
+    if not g.is_connected():
+        record(
+            "penrose-identity",
+            "SKIP",
+            "the signed sum is defined for connected graphs only",
+        )
+    elif (tree_estimate := spanning_tree_count(g)) > _TREE_CENSUS_CAP:
         record(
             "penrose-identity",
             "SKIP",

@@ -1,39 +1,39 @@
-"""Numerical roots of integer polynomials with certified residuals.
+"""Roots of integer polynomials and an exact test that they lie in a disk.
 
-Strategy: simultaneous Aberth iteration in double precision from a
-perturbed-circle start, then a short high-precision Newton polish of
-each root against the exact integer coefficients. Every reported root
-carries a residual |p(z)| / max_k |coeff_k| evaluated at 60 digits, and
-the whole set is rejected if any residual misses the caller's tolerance.
+``roots_inside(p, R)`` is the Schur-Cohn test (Schur 1917, Cohn 1922)
+over the integers. ``polynomial_roots`` deflates the integer roots
+exactly, takes the rest from numpy's companion eigenvalues, rejects the
+set if any exactly evaluated residual |p(z)| / max_k |coeff_k| misses the
+tolerance, and certifies the largest modulus: an exact integer root or a
+radius the disk test passed, within 1e-9 relative of the exact value.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath as mp
+import numpy as np
 
 from .errors import ConvergenceError
 from .polynomial import IntPolynomial
 
-_ABERTH_MAX_ITER = 500
-_ABERTH_STOP = 1e-14
-_POLISH_DPS = 50
-_RESIDUAL_DPS = 60
-_NEWTON_STEPS = 12
-_REAL_AXIS_TOL = 1e-8
-_PAIR_TOL = 1e-6
+# The largest modulus is first bracketed within _CERT_REL of its float
+# estimate; bisection narrows any other bracket to _BRACKET_REL relative.
+_CERT_REL = 1e-10
+_BRACKET_REL = 4e-10
+_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
 class RootSet:
     """All complex roots of a polynomial, with evaluation residuals.
 
-    ``roots[i]`` and ``residuals[i]`` correspond; ``max_modulus`` is the
-    largest |z| over the set (0.0 for constant polynomials). Roots are
-    sorted by real part, then imaginary part.
+    ``roots[i]`` and ``residuals[i]`` correspond. ``max_modulus`` bounds
+    |z| over the set, lies within 1e-9 relative of the largest |z| and
+    equals it when that root is an integer (0.0 for constant
+    polynomials). Roots are sorted by real part, then imaginary part.
     """
 
     roots: tuple[complex, ...]
@@ -52,164 +52,158 @@ class RootSet:
         }
 
 
+def roots_inside(p: IntPolynomial, radius) -> bool:
+    """True exactly when every root of p lies in |q| < radius, a rational
+    (int, Fraction or float).
+
+    Scales to s^n p(r z / s) for radius = r/s, then applies the Schur
+    transform b_k = a_n a_k - a_0 a_{n-k} until the degree reaches 0;
+    all roots are inside exactly when every step has |a_n| > |a_0|.
+    """
+    if not p:
+        raise ValueError("the zero polynomial has no well-defined root set")
+    radius = Fraction(radius)
+    if radius <= 0:
+        return p.degree == 0
+    r, s = radius.numerator, radius.denominator
+    c = [a * r**k * s ** (p.degree - k) for k, a in enumerate(p.coefficients)]
+    while len(c) > 1:
+        a0, an = c[0], c[-1]
+        if abs(an) <= abs(a0):
+            return False
+        m = len(c) - 1
+        c = _primitive([an * c[k] - a0 * c[m - k] for k in range(1, m + 1)])
+    return True
+
+
 def polynomial_roots(p: IntPolynomial, tol: float = 1e-8) -> RootSet:
     """Find all roots of p, raising ConvergenceError on residuals >= tol."""
     if not p:
         raise ValueError("the zero polynomial has no well-defined root set")
-    if p.degree == 0:
-        return RootSet((), (), 0.0)
-
-    coeffs = list(p.coefficients)
+    rest = list(p.coefficients)
     zero_mult = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
+    while rest[0] == 0:
+        rest.pop(0)
         zero_mult += 1
 
-    roots = [0j] * zero_mult
-    if len(coeffs) > 1:
-        approx = _aberth(coeffs)
-        roots.extend(_polish(z, coeffs) for z in approx)
+    approx = _eig_roots(rest)
+    exact = []
+    for k in sorted({round(z.real) for z in approx if abs(z - round(z.real)) < 0.5}):
+        while k and len(rest) > 1:
+            quotient, remainder = _pseudo_divide(rest, [-k, 1])  # exact: monic
+            if remainder:
+                break
+            rest = quotient
+            exact.append(k)
+    if exact:
+        approx = _eig_roots(rest)
 
-    roots = _symmetrize(roots)
-    roots.sort(key=lambda z: (z.real, z.imag))
-
-    residuals = tuple(_residual(p.coefficients, z) for z in roots)
-    bad = [i for i, r in enumerate(residuals) if not r < tol]
+    found = [(0j, 0.0)] * zero_mult + [(complex(k), 0.0) for k in exact]
+    found += [_refine(p.coefficients, z, tol) for z in approx]
+    found.sort(key=lambda t: (t[0].real, t[0].imag))
+    roots = tuple(z for z, _ in found)
+    residuals = tuple(r for _, r in found)
+    bad = [r for r in residuals if not r < tol]
     if bad:
         raise ConvergenceError(
             f"{len(bad)} of {len(roots)} roots have residual >= {tol:g}",
-            roots=tuple(roots),
+            roots=roots,
             residuals=residuals,
         )
-    max_mod = max((abs(z) for z in roots), default=0.0)
-    return RootSet(tuple(roots), residuals, max_mod)
+    return RootSet(roots, residuals, _max_modulus(exact, rest, approx))
 
 
-def _aberth(coeffs: list[int]) -> list[complex]:
-    """Simultaneous root iteration on the zero-root-free part, in float."""
-    d = len(coeffs) - 1
-    fc = [float(c) for c in coeffs]
-    lead = fc[-1]
-    radius = 0.7 * _fujiwara_radius(fc)
-    center = -fc[-2] / (d * lead)
-    z = [
-        center
-        + radius
-        * (1.0 + 0.05 * math.sin(3.0 * j + 1.0))
-        * cmath.exp(1j * (2.0 * math.pi * j / d + 0.4))
-        for j in range(d)
-    ]
-    for _ in range(_ABERTH_MAX_ITER):
-        max_step = 0.0
-        for i in range(d):
-            pv, dv = _horner_pair(fc, z[i])
-            if dv == 0:
-                z[i] += 1e-6 * (1.0 + abs(z[i]))
-                max_step = math.inf
-                continue
-            ratio = pv / dv
-            s = sum(1.0 / (z[i] - z[j]) for j in range(d) if j != i)
-            denom = 1.0 - ratio * s
-            step = ratio if denom == 0 else ratio / denom
-            z[i] -= step
-            rel = abs(step) / (1.0 + abs(z[i]))
-            if rel > max_step:
-                max_step = rel
-        if max_step <= _ABERTH_STOP:
-            break
-    return z
+def _eig_roots(coeffs: list[int]) -> list[complex]:
+    if len(coeffs) == 1:
+        return []
+    return [complex(z) for z in np.roots([float(a) for a in reversed(coeffs)])]
 
 
-def _fujiwara_radius(fc: list[float]) -> float:
-    d = len(fc) - 1
-    lead = abs(fc[-1])
-    r = 0.0
-    for k in range(1, d + 1):
-        c = abs(fc[d - k])
-        if c:
-            r = max(r, (c / lead) ** (1.0 / k))
-    return 2.0 * r if r else 1.0
-
-
-def _horner_pair(fc: list[float], z: complex) -> tuple[complex, complex]:
-    pv = 0j
-    dv = 0j
-    for c in reversed(fc):
-        dv = dv * z + pv
-        pv = pv * z + c
-    return pv, dv
-
-
-def _polish(z: complex, coeffs: list[int]) -> complex:
-    """High-precision Newton refinement; keeps the best |p| seen."""
-    dcoeffs = _derivative(coeffs)
-    with mp.workdps(_POLISH_DPS):
-        w = mp.mpc(z)
-        pv = _mp_horner(coeffs, w)
-        best, best_abs = w, abs(pv)
-        for _ in range(_NEWTON_STEPS):
-            dv = _mp_horner(dcoeffs, w)
-            if dv == 0:
-                break
-            w = w - pv / dv
-            pv = _mp_horner(coeffs, w)
-            if abs(pv) < best_abs:
-                best, best_abs = w, abs(pv)
-        return complex(best)
-
-
-def _derivative(coeffs: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(coeffs)][1:]
-
-
-def _mp_horner(coeffs, z):
-    acc = mp.mpc(0)
+def _value(coeffs: tuple[int, ...], z: complex) -> complex:
+    """p(z) rounded once: Horner over the Gaussian integers is exact,
+    because z is a dyadic rational."""
+    (x, dx), (y, dy) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(dx, dy)  # both are powers of two
+    x, y = x * (d // dx), y * (d // dy)
+    re = im = 0
+    scale = 1
     for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+        re, im = re * x - im * y + c * scale, re * y + im * x
+        scale *= d
+    den = d ** (len(coeffs) - 1)
+    return complex(re / den, im / den)
 
 
-def _residual(coeffs: tuple[int, ...], z: complex) -> float:
+def _refine(coeffs: tuple[int, ...], z: complex, tol: float) -> tuple[complex, float]:
+    """An eigenvalue and its residual, after Newton steps if it misses tol
+    (a root of large modulus can miss by a few units in the last place);
+    with p(z) exact, a float derivative suffices to reach the nearest floats."""
     scale = max(abs(c) for c in coeffs)
-    with mp.workdps(_RESIDUAL_DPS):
-        val = abs(_mp_horner(coeffs, mp.mpc(z)))
-        return float(val / scale)
+    derivative = np.polyder(np.array(coeffs[::-1], dtype=float))
+    best = (z, abs(_value(coeffs, z)) / scale)
+    for _ in range(_NEWTON_STEPS):
+        if best[1] < tol:
+            break
+        dv = complex(np.polyval(derivative, z))
+        if dv == 0:
+            break
+        z = z - _value(coeffs, z) / dv
+        best = min(best, (z, abs(_value(coeffs, z)) / scale), key=lambda t: t[1])
+    return best
 
 
-def _symmetrize(roots: list[complex]) -> list[complex]:
-    """Snap near-real roots to the axis and average conjugate partners.
+def _max_modulus(exact: list[int], rest: list[int], approx: list[complex]) -> float:
+    """Certified largest modulus over the integer roots and those of rest."""
+    top = max((abs(k) for k in exact), default=0)
+    if len(rest) == 1:
+        return float(top)
+    free = _squarefree(rest)
+    seed = max(abs(z) for z in (approx if free is rest else _eig_roots(free))) or 1.0
+    free = IntPolynomial(free)
+    if top >= seed * (1 + _CERT_REL) and roots_inside(free, top):
+        return float(top)
+    return max(float(top), _certified_radius(free, seed))
 
-    Pairing is tolerance-gated and greedy; roots without a partner within
-    tolerance (clusters from multiple roots, say) pass through untouched,
-    since residual certification is what ultimately vouches for them.
-    """
-    real_part: list[complex] = []
-    upper: list[complex] = []
-    lower: list[complex] = []
-    for z in roots:
-        if abs(z.imag) <= _REAL_AXIS_TOL * (1.0 + abs(z)):
-            real_part.append(complex(z.real, 0.0))
-        elif z.imag > 0:
-            upper.append(z)
-        else:
-            lower.append(z)
 
-    out = real_part
-    used = [False] * len(lower)
-    for z in upper:
-        best_j, best_dist = -1, math.inf
-        for j, w in enumerate(lower):
-            if used[j]:
-                continue
-            dist = abs(z - w.conjugate())
-            if dist < best_dist:
-                best_j, best_dist = j, dist
-        if best_j >= 0 and best_dist <= _PAIR_TOL * (1.0 + abs(z)):
-            used[best_j] = True
-            avg = (z + lower[best_j].conjugate()) / 2.0
-            out.append(avg)
-            out.append(avg.conjugate())
-        else:
-            out.append(z)
-    out.extend(w for j, w in enumerate(lower) if not used[j])
-    return out
+def _certified_radius(p: IntPolynomial, guess: float) -> float:
+    """A float hi with every root in |q| < hi and some root at |q| >= lo,
+    where hi - lo <= _BRACKET_REL * lo; both ends are tested exactly."""
+    lo, hi = guess * (1 - _CERT_REL), guess * (1 + _CERT_REL)
+    while not roots_inside(p, hi):
+        lo, hi = hi, 2 * hi
+    while roots_inside(p, lo):
+        lo, hi = lo / 2, lo
+    while hi - lo > _BRACKET_REL * lo:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if roots_inside(p, mid) else (mid, hi)
+    return hi
+
+
+def _squarefree(coeffs: list[int]) -> list[int]:
+    """p / gcd(p, p') up to a constant: the same roots, each simple."""
+    a, b = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
+    while b:
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    return coeffs if len(a) == 1 else _primitive(_pseudo_divide(coeffs, a)[0])
+
+
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of lead(b)^k a divided by b, for some k
+    (ascending coefficients; the remainder of an exact division is [])."""
+    a = list(a)
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        f, shift = a[-1], len(a) - len(b)
+        quotient = [b[-1] * c for c in quotient]
+        quotient[shift] += f
+        a = [b[-1] * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        while a and a[-1] == 0:
+            a.pop()
+    return quotient, a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [c // g for c in a]

@@ -155,6 +155,18 @@ def test_verify_small_graph_all_checks_run(capsys):
     assert set(statuses.values()) == {"PASS"}
 
 
+def test_verify_disconnected_graph_skips_penrose(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("4 2\n0 1\n2 3\n")
+    code, out, _ = run(capsys, "verify", "--graph", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
+    statuses = {c["name"]: c["status"] for c in payload["checks"]}
+    assert statuses.pop("penrose-identity") == "SKIP"
+    assert set(statuses.values()) == {"PASS"}
+
+
 def test_verify_failure_exits_nonzero(capsys):
     # A vertex cap below the graph size makes the root check error out,
     # which must surface as a failed check, not a crash.

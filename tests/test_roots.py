@@ -1,13 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chromabound
 from chromabound import (
     ConvergenceError,
+    Graph,
     IntPolynomial,
     chromatic_polynomial,
     generate_graph,
     polynomial_roots,
+    roots_inside,
 )
 from chromabound.polynomial import X
 
@@ -28,8 +38,9 @@ def test_complete_graph_roots_are_integers():
     p = chromatic_polynomial(generate_graph("complete", n=4))
     rs = polynomial_roots(p)
     assert _matches(rs.roots, [0, 1, 2, 3])
-    assert rs.max_modulus == pytest.approx(3.0, abs=1e-10)
-    assert all(r < 1e-12 for r in rs.residuals)
+    assert rs.max_modulus == 3.0
+    assert rs.roots == (0, 1, 2, 3)
+    assert rs.residuals == (0.0,) * 4
 
 
 def test_five_cycle_roots():
@@ -54,15 +65,83 @@ def test_zero_constant_roots_deflated():
 
 
 def test_high_multiplicity_residuals():
-    # (q-1)^11 q: the root cluster itself is ill conditioned but the
-    # residual guarantee must still hold.
+    # (q-1)^11 q: a float root finder scatters the cluster around 1 like
+    # eps^(1/11); exact deflation of the integer root removes it.
     p = chromatic_polynomial(generate_graph("star", leaves=11))
     rs = polynomial_roots(p)
-    assert len(rs.roots) == 12
-    assert all(r < 1e-10 for r in rs.residuals)
-    # The cluster around 1 scatters like residual^(1/11), so only a
-    # loose localization is meaningful.
-    assert rs.max_modulus == pytest.approx(1.0, abs=0.05)
+    assert rs.roots == (0,) + (1,) * 11
+    assert rs.residuals == (0.0,) * 12
+    assert rs.max_modulus == 1.0
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [generate_graph("path", n=12), Graph(5, [(0, 1), (1, 2), (3, 4)])],  # P12, P3 and K2
+)
+def test_integer_largest_root_is_exact(graph):
+    assert polynomial_roots(chromatic_polynomial(graph)).max_modulus == 1.0
+
+
+def test_double_root_at_two():
+    # A diamond (K4 minus an edge) and a 4-cycle sharing a vertex:
+    # q (q-1)^2 (q-2)^2 (q^2 - 3q + 3), whose other roots have modulus 3^(1/2).
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
+    p = chromatic_polynomial(g)
+    assert p == X * (X - 1) ** 2 * (X - 2) ** 2 * (X**2 - 3 * X + 3)
+    rs = polynomial_roots(p)
+    assert rs.max_modulus == pytest.approx(2.0, rel=1e-9)
+    assert rs.max_modulus >= 2.0
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_roots_inside_complete_graph(n):
+    p = chromatic_polynomial(generate_graph("complete", n=n))
+    assert not roots_inside(p, n - 1)
+    assert roots_inside(p, math.nextafter(n - 1, math.inf))
+    assert roots_inside(p, Fraction(n - 1) + Fraction(1, 10**30))
+
+
+def _max_modulus_of(factor: IntPolynomial) -> float:
+    c, b, a = (factor.coefficients + (0,))[:3]
+    if a == 0:  # b q + c
+        return abs(c / b)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return math.sqrt(c / a)
+    return (abs(b) + math.sqrt(disc)) / (2 * abs(a))
+
+
+def _within(factor: IntPolynomial, m: Fraction) -> bool:
+    """Exactly: every root of a linear or quadratic factor has modulus <= m."""
+    c, b, a = (factor.coefficients + (0,))[:3]
+    if a == 0:
+        return abs(Fraction(c, b)) <= m
+    if b * b - 4 * a * c < 0:
+        return Fraction(c, a) <= m * m
+    # real roots lie in [-m, m]: the upward parabola is >= 0 at both ends
+    # and its vertex lies between them
+    return factor(m) >= 0 and factor(-m) >= 0 and abs(Fraction(b, 2 * a)) <= m
+
+
+_linear = st.tuples(st.integers(1, 4), st.integers(-9, 9)).map(
+    lambda t: IntPolynomial([t[1], t[0]])
+)
+_quadratic = st.tuples(
+    st.integers(1, 4), st.integers(-9, 9), st.integers(-9, 9).filter(bool)
+).map(lambda t: IntPolynomial([t[2], t[1], t[0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_linear, _quadratic), min_size=1, max_size=6))
+def test_max_modulus_bounds_every_root(factors):
+    p = IntPolynomial([1])
+    for f in factors:
+        p = p * f
+    m = polynomial_roots(p).max_modulus
+    assert all(_within(f, Fraction(m)) for f in factors)
+    assert roots_inside(p, math.nextafter(m, math.inf))
+    true = max(_max_modulus_of(f) for f in factors)
+    assert m == pytest.approx(true, rel=1e-9, abs=1e-300)
 
 
 def test_degenerate_inputs():
@@ -97,3 +176,16 @@ def test_petersen_largest_root():
     assert 2.6 < rs.max_modulus < 2.7
     top = max(rs.roots, key=abs)
     assert math.isclose(abs(top), rs.max_modulus)
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, chromabound; print('mpmath' in sys.modules)"
+    src = Path(chromabound.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
