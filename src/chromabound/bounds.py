@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chromatic import chromatic_polynomial
+from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
 from .errors import InconclusiveError
 from .graphs import Graph, NeighborhoodProfile, canonical_form, neighborhood_profile
 from .optimize import OptimizationResult, bisect_increasing, minimize_scalar
@@ -276,7 +276,7 @@ def cstar_graph_series(g: Graph, order: int = 64) -> float:
 
 
 def verify_zero_free(
-    g: Graph, *, tol: float = 1e-8, max_vertices: int = 18
+    g: Graph, *, tol: float = 1e-8, max_vertices: int = _DEFAULT_VERTEX_CAP
 ) -> BoundReport:
     """Locate every chromatic root and compare against the bounds.
 

@@ -29,11 +29,12 @@ from .bounds import (
     sokal_bound,
     verify_zero_free,
 )
-from .chromatic import chromatic_polynomial
+from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
 from .errors import ChromaboundError
 from .graphs import Graph, generate_graph, neighborhood_profile, parse_graph
 from .polynomial import IntPolynomial
 from .polymer import (
+    _PARTITION_VERTEX_CAP,
     check_fp_condition,
     hardcore_partition,
     penrose_report,
@@ -45,7 +46,6 @@ from .series import series_radius, solve_tree_series, sup_x_threshold, t_n_delta
 _FORMAT_ENV = "CHROMABOUND_FORMAT"
 _FORMATS = ("json", "csv", "text")
 _TREE_CENSUS_CAP = 500_000
-_PARTITION_CAP = 8
 _PARTITION_POINTS = (2, 3, 5, 10)
 
 
@@ -114,7 +114,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=float, help="saturation level for the series threshold")
     p.add_argument("--tol", type=float, default=1e-8, help="root residual tolerance")
     p.add_argument(
-        "--max-vertices", type=int, default=18, help="polynomial-computation cap"
+        "--max-vertices",
+        type=int,
+        default=_DEFAULT_VERTEX_CAP,
+        help="polynomial-computation cap",
     )
     p.add_argument("--format", choices=_FORMATS, help="output format")
 
@@ -283,11 +286,11 @@ def _cmd_verify(args, parser) -> int:
             "SKIP",
             "the signed sum is defined for connected graphs only",
         )
-    elif (tree_estimate := spanning_tree_count(g)) > _TREE_CENSUS_CAP:
+    elif (tree_count := spanning_tree_count(g)) > _TREE_CENSUS_CAP:
         record(
             "penrose-identity",
             "SKIP",
-            f"about {tree_estimate} spanning trees, census cap is {_TREE_CENSUS_CAP}",
+            f"{tree_count} spanning trees, census cap is {_TREE_CENSUS_CAP}",
         )
     else:
         rep = penrose_report(g)
@@ -300,11 +303,11 @@ def _cmd_verify(args, parser) -> int:
             f"penrose={rep.penrose_count}, weak={rep.weak_penrose_count}",
         )
 
-    if g.n > _PARTITION_CAP:
+    if g.n > _PARTITION_VERTEX_CAP:
         record(
             "partition-identity",
             "SKIP",
-            f"{g.n} vertices exceed the exact-arithmetic cap of {_PARTITION_CAP}",
+            f"{g.n} vertices exceed the exact-arithmetic cap of {_PARTITION_VERTEX_CAP}",
         )
     else:
         p = chromatic_polynomial(g)

@@ -3,12 +3,14 @@
 A monomer is a vertex set of size at least 2 inducing a connected
 subgraph; its activity at parameter q is S / q^(k-1), where k is its
 size and S is the signed sum over connected spanning subgraphs of the
-induced graph. The module computes these activities two independent
-ways (direct subset enumeration and the linear coefficient of the
-coloring polynomial), classifies rooted spanning trees by the
-generation conditions that make the signed sum collapse to a single
-count, evaluates the exact hard-core partition function, and checks the
-fixed-point convergence inequality with a certified geometric tail.
+induced graph. Every S the module uses is the linear coefficient of the
+induced graph's coloring polynomial, taken from the deletion-contraction
+engine; ``signed_connected_sum`` enumerates edge subsets instead and
+serves only as an oracle against it. The module classifies rooted
+spanning trees by the generation conditions that make the signed sum
+collapse to a single count, evaluates the exact hard-core partition
+function, and checks the fixed-point convergence inequality with a
+certified geometric tail.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .chromatic import _chrom, _induced_masks
 from .errors import ResourceLimitError
-from .graphs import Graph, _components_masks, _connected_sets_masks, neighborhood_profile
+from .graphs import (
+    Graph,
+    _components_masks,
+    _connected_sets_masks,
+    _mask_bits,
+    neighborhood_profile,
+)
 from .series import solve_tree_series
 
 _SIGNED_SUM_EDGE_CAP = 24
@@ -139,7 +145,7 @@ def enumerate_monomers(
     if max_size is None:
         max_size = g.n
     for mask in _all_connected_masks(g.adjacency_masks, max(2, min_size), max_size):
-        yield Monomer(_bits(mask))
+        yield Monomer(_mask_bits(mask))
 
 
 def _all_connected_masks(
@@ -150,15 +156,6 @@ def _all_connected_masks(
     for v in range(n):
         allowed = full & ~((1 << v) - 1)
         yield from _connected_sets_masks(masks, v, allowed, min_size, max_size)
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +212,9 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[RootedSpanningTree]:
 
     def feasible(parents: list[int], i: int) -> bool:
         scratch = list(parents)
-
-        def find(x: int) -> int:
-            while scratch[x] != x:
-                scratch[x] = scratch[scratch[x]]
-                x = scratch[x]
-            return x
-
-        comps = len({find(v) for v in range(n)})
+        comps = len({_find(scratch, v) for v in range(n)})
         for u, v in edges[i:]:
-            ru, rv = find(u), find(v)
+            ru, rv = _find(scratch, u), _find(scratch, v)
             if ru != rv:
                 scratch[ru] = rv
                 comps -= 1
@@ -248,7 +238,10 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[RootedSpanningTree]:
 
 
 def _find(parents: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way up
+    (this only shortens paths, so the sets stay as they were)."""
     while parents[x] != x:
+        parents[x] = parents[parents[x]]
         x = parents[x]
     return x
 
@@ -328,17 +321,15 @@ class PenroseReport:
 def penrose_report(g: Graph) -> PenroseReport:
     """Count spanning trees by class and set them against the signed sum.
 
-    S comes from direct subset enumeration when the edge count permits,
-    otherwise from the polynomial route; the tree census is always a
-    separate enumeration, so the collapse identity stays a real check.
+    S is the linear coefficient of the coloring polynomial, from the
+    deletion-contraction engine; the tree census is a separate
+    enumeration, so the collapse identity compares two independent
+    computations. ``signed_connected_sum`` is the enumeration oracle that
+    the tests hold the engine's S to.
     """
-    if g.m <= _SIGNED_SUM_EDGE_CAP:
-        s = signed_connected_sum(g)
-    else:
-        if not g.is_connected():
-            raise ValueError("signed sum is defined for connected graphs only")
-        full = (1 << g.n) - 1
-        s = _s_value_induced(g.adjacency_masks, full)
+    if not g.is_connected():
+        raise ValueError("signed sum is defined for connected graphs only")
+    s = _s_value_induced(g.adjacency_masks, (1 << g.n) - 1)
     trees = penrose = weak = 0
     for t in enumerate_spanning_trees(g):
         cls = classify_tree(t)
@@ -356,23 +347,32 @@ def penrose_report(g: Graph) -> PenroseReport:
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, via a Laplacian minor determinant.
+    """Number of spanning trees, exactly: the determinant of a Laplacian
+    minor (Kirchhoff), by fraction-free Bareiss elimination over the
+    integers.
 
-    Float-precision arithmetic rounded to the nearest integer; intended
-    for sizing decisions, with exactness guaranteed only while counts
-    stay well below 2^52.
+    The minor of a connected graph's Laplacian is positive definite, so
+    every pivot, a leading principal minor, is positive and no row swaps
+    are needed.
     """
     if g.n <= 1:
         return 1
     if not g.is_connected():
         return 0
-    lap = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        lap[u, u] += 1
-        lap[v, v] += 1
-        lap[u, v] -= 1
-        lap[v, u] -= 1
-    return int(round(float(np.linalg.det(lap[1:, 1:]))))
+    masks, k = g.adjacency_masks, g.n - 1
+    a = [
+        [masks[r].bit_count() if r == c else -(masks[r] >> c & 1) for c in range(1, g.n)]
+        for r in range(1, g.n)
+    ]
+    prev = 1
+    for i in range(k - 1):
+        pivot = a[i][i]
+        for r in range(i + 1, k):
+            row, lead = a[r], a[r][i]
+            for c in range(i + 1, k):
+                row[c] = (row[c] * pivot - lead * a[i][c]) // prev
+        prev = pivot
+    return a[k - 1][k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +440,12 @@ def cq_norm_scaled(g: Graph, n: int) -> int:
     if n > g.n:
         return 0
     masks = g.adjacency_masks
-    full = (1 << g.n) - 1
-    best = 0
-    for x in range(g.n):
-        acc = 0
-        for mask in _connected_sets_masks(masks, x, full, n, n):
-            acc += abs(_s_value_induced(masks, mask))
-        best = max(best, acc)
-    return best
+    totals = [0] * g.n
+    for mask in _all_connected_masks(masks, n, n):
+        s = abs(_s_value_induced(masks, mask))
+        for v in _mask_bits(mask):
+            totals[v] += s
+    return max(totals)
 
 
 def cq_norm(g: Graph, n: int, q: float) -> float:

@@ -167,6 +167,15 @@ def test_verify_disconnected_graph_skips_penrose(capsys, tmp_path):
     assert set(statuses.values()) == {"PASS"}
 
 
+def test_verify_census_skip_states_exact_tree_count(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "complete", "--n", "10")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["penrose-identity"]["status"] == "SKIP"
+    assert checks["penrose-identity"]["detail"].startswith("100000000 spanning trees,")
+    assert checks["partition-identity"]["status"] == "SKIP"
+
+
 def test_verify_failure_exits_nonzero(capsys):
     # A vertex cap below the graph size makes the root check error out,
     # which must surface as a failed check, not a crash.

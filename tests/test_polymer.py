@@ -18,6 +18,7 @@ from chromabound import (
     connected_graphs,
     cq_norm,
     cq_norm_scaled,
+    enumerate_connected_subsets,
     enumerate_monomers,
     enumerate_spanning_trees,
     generate_graph,
@@ -53,7 +54,7 @@ def test_signed_sum_input_validation():
 def test_signed_sum_equals_linear_coefficient():
     # For connected G the signed sum is the linear coefficient of the
     # chromatic polynomial; the enumeration must agree with it.
-    for n in range(1, 6):
+    for n in range(1, 7):
         for g in connected_graphs(n):
             assert signed_connected_sum(g) == chromatic_polynomial(g).coefficients[1]
 
@@ -109,6 +110,12 @@ def test_spanning_tree_enumeration_counts():
         assert len(trees) == want
         assert len({t.edges for t in trees}) == want
         assert spanning_tree_count(g) == want
+
+
+def test_spanning_tree_count_cayley():
+    # Exact well past the 2^53 limit of a float determinant (K15 onward).
+    for n in range(2, 26):
+        assert spanning_tree_count(generate_graph("complete", n=n)) == n ** (n - 2)
 
 
 def test_spanning_tree_count_degenerate():
@@ -212,6 +219,21 @@ def test_cq_norm_values():
         cq_norm_scaled(k3, 1)
     with pytest.raises(ValueError):
         cq_norm(k3, 2, 0.0)
+
+
+def test_cq_norm_matches_per_vertex_signed_sums():
+    # The per-vertex formula, with every S from the enumeration oracle.
+    for order in range(2, 6):
+        for g in connected_graphs(order):
+            for n in range(2, g.n + 1):
+                want = max(
+                    sum(
+                        abs(signed_connected_sum(g.induced(s)))
+                        for s in enumerate_connected_subsets(g, x, n)
+                    )
+                    for x in range(g.n)
+                )
+                assert cq_norm_scaled(g, n) == want
 
 
 def test_cn_bound_triangle_equalities():
