@@ -164,7 +164,10 @@ def constants() -> dict[str, float]:
 def cstar_graph_opt(g: Graph) -> OptimizationResult:
     """Minimize zt(x) / (x (2 - z(x))) over 0 < x < z^{-1}(2), where z
     and zt are the graph's neighborhood growth polynomials."""
-    prof = neighborhood_profile(g)
+    return _cstar_profile_opt(neighborhood_profile(g))
+
+
+def _cstar_profile_opt(prof: NeighborhoodProfile) -> OptimizationResult:
     z = prof.z_polynomial()
     zt = prof.z_tilde_polynomial()
     x_max = bisect_increasing(z, 2.0, 0.0)
@@ -187,7 +190,7 @@ def cstar_graph(g: Graph) -> BoundReport:
         raise ValueError("per-graph bound undefined for an edgeless graph")
     prof = neighborhood_profile(g)
     ref_delta = max(delta, 2)
-    c_graph = cstar_graph_opt(g).value if delta >= 2 else None
+    c_graph = _cstar_profile_opt(prof).value if delta >= 2 else None
     return BoundReport(
         graph_id=graph_id(g),
         delta=delta,
@@ -202,8 +205,7 @@ def fp_parameters(g: Graph) -> tuple[float, float]:
     """The pair (a, x): x minimizes the per-graph objective and
     a = -ln(2 - z(x)) is the matching convergence-check parameter."""
     prof = neighborhood_profile(g)
-    opt = cstar_graph_opt(g)
-    x = opt.argmin
+    x = _cstar_profile_opt(prof).argmin
     return -math.log(2.0 - prof.z_polynomial()(x)), x
 
 

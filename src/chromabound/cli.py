@@ -339,7 +339,10 @@ def _cmd_verify(args, parser) -> int:
 
     if args.a is not None:
         fp = check_fp_condition(
-            g, args.q if args.q is not None else 10.0, args.a, args.order or 16
+            g,
+            args.q if args.q is not None else 10.0,
+            args.a,
+            args.order if args.order is not None else 16,
         )
         record(
             "fp-condition",

@@ -1,8 +1,9 @@
 """Simple undirected graphs: representation, parsing, generators, profiles.
 
-Vertices are dense integers 0..n-1. The adjacency is mirrored as a tuple
-of bitmasks (bit u of ``masks[v]`` set iff u ~ v), which the exhaustive
-routines in the rest of the package lean on heavily.
+Vertices are dense integers 0..n-1. The adjacency is held only as a
+tuple of bitmasks (bit u of ``masks[v]`` set iff u ~ v), from which
+neighbors and degrees are read and on which the exhaustive routines in
+the rest of the package lean heavily.
 
 The neighborhood profile of a graph records, for each k, the maximal
 number of independent k-subsets inside a single vertex neighborhood
@@ -24,7 +25,7 @@ from .polynomial import IntPolynomial
 class Graph:
     """Immutable simple graph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "edges", "_adj", "_masks")
+    __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -38,7 +39,6 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
@@ -47,16 +47,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def adjacency(self) -> tuple[frozenset, ...]:
-        if self._adj is None:
-            adj = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
-        return self._adj
 
     @property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -71,25 +61,17 @@ class Graph:
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Graph":
         masks = tuple(masks)
-        edges = []
-        for v, m in enumerate(masks):
-            m >>= v + 1
-            u = v + 1
-            while m:
-                if m & 1:
-                    edges.append((v, u))
-                m >>= 1
-                u += 1
+        edges = [(v, u) for v, m in enumerate(masks) for u in _mask_bits(m) if u > v]
         return cls(len(masks), edges)
 
     def neighbors(self, v: int) -> frozenset:
-        return self.adjacency[v]
+        return frozenset(_mask_bits(self.adjacency_masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adjacency_masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.adjacency)
+        return tuple(m.bit_count() for m in self.adjacency_masks)
 
     @property
     def max_degree(self) -> int:

@@ -94,8 +94,9 @@ class IntPolynomial:
         return IntPolynomial([-c for c in self.coefficients])
 
     def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coefficients])
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         a, b = self.coefficients, other.coefficients
         if not a or not b:
             return IntPolynomial([])
@@ -120,12 +121,6 @@ class IntPolynomial:
             k >>= 1
         return result
 
-    def shifted(self, k: int) -> "IntPolynomial":
-        """Multiply by the k-th power of the variable."""
-        if not self.coefficients:
-            return self
-        return IntPolynomial((0,) * k + self.coefficients)
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coefficients)][1:])
 
@@ -139,10 +134,6 @@ class IntPolynomial:
     def to_json(self) -> list[str]:
         """Coefficients ascending, as decimal strings (precision-safe)."""
         return [str(c) for c in self.coefficients]
-
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> "IntPolynomial":
-        return cls([int(s) for s in data])
 
 
 X = IntPolynomial([0, 1])

@@ -6,10 +6,11 @@ The central object is the pair of formal series U(x) and T(x) solving
 
 where Z and Zt are polynomials with constant term 1 and non-negative
 integer coefficients (neighborhood growth profiles). Coefficients are
-computed exactly over the integers by fixed-point iteration, which
-stabilizes coefficient n after n rounds. The module also locates the
-radius sup_u u/Zt(u) and the saturation point x = Z^{-1}(b)/Zt(Z^{-1}(b))
-used by the bound optimizers.
+computed exactly over the integers in one forward pass: coefficient n
+of U depends only on the coefficients below n of the powers of U, which
+are kept in a table and extended one coefficient at a time. The module
+also locates the radius sup_u u/Zt(u) and the saturation point
+x = Z^{-1}(b)/Zt(Z^{-1}(b)) used by the bound optimizers.
 """
 
 from __future__ import annotations
@@ -68,44 +69,33 @@ def solve_tree_series(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Solve U = x*z_tilde(U) and T = x*z(U) to the given order.
 
-    Returns the pair (U, T) as truncated integer series.
+    Returns the pair (U, T) as truncated integer series. With u_n = [x^n]U
+    and z~_k, z_k the coefficients of z_tilde and z:
+
+        u_n = sum_k z~_k [x^(n-1)] U^k,
+        [x^n] U^k = sum_{i=1}^{n-1} u_i [x^(n-i)] U^(k-1)   (k >= 2),
+        t_n = sum_k z_k [x^(n-1)] U^k,
+
+    so each coefficient is computed once, in O(order^2 * degree) integer
+    multiplications.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     _check_profile_poly(z_tilde, "z_tilde")
     _check_profile_poly(z, "z")
 
-    u = [0] * (order + 1)
-    for _ in range(order):
-        u = _shift(_eval_at_series(z_tilde, u, order), order)
-    t = _shift(_eval_at_series(z, u, order), order)
-    return (
-        TruncatedSeries(tuple(u[1:]), order),
-        TruncatedSeries(tuple(t[1:]), order),
-    )
-
-
-def _mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(min(len(b), order + 1 - i)):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _eval_at_series(p: IntPolynomial, u: list[int], order: int) -> list[int]:
-    coeffs = p.coefficients
-    acc = [coeffs[-1]] + [0] * order
-    for c in reversed(coeffs[:-1]):
-        acc = _mul_trunc(acc, u, order)
-        acc[0] += c
-    return acc
-
-
-def _shift(series: list[int], order: int) -> list[int]:
-    return [0] + series[:order]
+    zt, zc = z_tilde.coefficients, z.coefficients
+    # powers[k][n] = [x^n] U^k; U^k starts at x^k, which bounds the sum over i.
+    k_max = max(len(zt), len(zc), 2) - 1
+    powers = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k_max)]
+    u = powers[1]
+    for n in range(1, order + 1):
+        u[n] = sum(c * p[n - 1] for c, p in zip(zt, powers))
+        for k in range(2, k_max + 1):
+            prev = powers[k - 1]
+            powers[k][n] = sum(u[i] * prev[n - i] for i in range(1, n - k + 2))
+    t = [sum(c * p[n - 1] for c, p in zip(zc, powers)) for n in range(1, order + 1)]
+    return TruncatedSeries(tuple(u[1:]), order), TruncatedSeries(tuple(t), order)
 
 
 @lru_cache(maxsize=None)

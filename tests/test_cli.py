@@ -209,6 +209,18 @@ def test_verify_with_fp_check(capsys):
     assert statuses["fp-condition"] == "PASS"
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_verify_fp_check_rejects_order_below_two(capsys, order):
+    # An explicit --order 0 is an order, not a request for the default.
+    code, _, err = run(
+        capsys,
+        "verify", "--family", "complete", "--n", "3",
+        "--q", "11.0", "--a", "0.597", "--order", order,
+    )
+    assert code == 1
+    assert "truncation order must be at least 2" in err
+
+
 def test_series_degree_mode(capsys):
     code, out, _ = run(capsys, "series", "--delta", "3", "--order", "6")
     assert code == 0

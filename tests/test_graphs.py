@@ -22,6 +22,9 @@ def test_graph_basic_accessors():
     assert g.degrees() == (1, 2, 2, 1)
     assert g.max_degree == 2
     assert g.neighbors(1) == frozenset({0, 2})
+    assert g.degree(1) == 2 and g.neighbors(3) == frozenset({2})
+    for h in (g, generate_graph("petersen"), Graph(3, [])):
+        assert Graph.from_masks(h.adjacency_masks) == h
 
 
 def test_graph_rejects_bad_edges():

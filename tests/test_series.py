@@ -49,11 +49,11 @@ def test_degree_one_series():
 def test_child_series_is_generalized_catalan():
     # U = x * Z~(U) with Z~ = (1+u)^(d-1) has the Fuss-Catalan solution
     # U_n = binom((d-1) n, n-1) / n.
-    for delta in (2, 3, 4):
+    for delta in range(2, 9):
         zt = IntPolynomial([1, 1]) ** (delta - 1)
         z = IntPolynomial([1, 1]) ** delta
-        u, _ = solve_tree_series(zt, z, 9)
-        for n in range(1, 10):
+        u, _ = solve_tree_series(zt, z, 64)
+        for n in range(1, 65):
             assert u.coefficient(n) == math.comb((delta - 1) * n, n - 1) // n
 
 
@@ -76,11 +76,14 @@ def _convolve_trunc(a, b, order):
 
 def test_fixed_point_property_random_profiles():
     rng = random.Random(99)
+    profiles = [(IntPolynomial([1]), IntPolynomial([1]))]  # U = T = x
     for _ in range(12):
         deg = rng.randrange(1, 5)
         zt = IntPolynomial([1] + [rng.randrange(0, 4) for _ in range(deg)])
         z = IntPolynomial([1] + [rng.randrange(0, 5) for _ in range(deg + 1)])
-        order = 8
+        profiles.append((zt, z))
+    order = 40
+    for zt, z in profiles:
         u, t = solve_tree_series(zt, z, order)
 
         def compose(poly):
