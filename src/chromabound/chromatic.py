@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graphs import Graph, _canonical_masks, _components_masks, _mask_bits
+from .graphs import Graph, _canonical_masks, _components_masks, _induced_masks, _mask_bits
 from .polynomial import IntPolynomial, X
 
 _DEFAULT_VERTEX_CAP = 18
@@ -110,18 +110,6 @@ def _contracted(masks: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
             continue
         mw = merged[w] & ~bv
         out.append((mw & low) | ((mw >> (v + 1)) << v))
-    return tuple(out)
-
-
-def _induced_masks(masks: tuple[int, ...], vert_mask: int) -> tuple[int, ...]:
-    verts = list(_mask_bits(vert_mask))
-    pos = {v: i for i, v in enumerate(verts)}
-    out = []
-    for v in verts:
-        m = 0
-        for u in _mask_bits(masks[v] & vert_mask):
-            m |= 1 << pos[u]
-        out.append(m)
     return tuple(out)
 
 

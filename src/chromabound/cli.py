@@ -30,22 +30,19 @@ from .bounds import (
     verify_zero_free,
 )
 from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
-from .errors import ChromaboundError
+from .errors import ChromaboundError, ResourceLimitError
 from .graphs import Graph, generate_graph, neighborhood_profile, parse_graph
 from .polynomial import IntPolynomial
 from .polymer import (
-    _PARTITION_VERTEX_CAP,
     check_fp_condition,
     hardcore_partition,
     penrose_report,
-    spanning_tree_count,
     verify_cn_bound,
 )
 from .series import series_radius, solve_tree_series, sup_x_threshold, t_n_delta
 
 _FORMAT_ENV = "CHROMABOUND_FORMAT"
 _FORMATS = ("json", "csv", "text")
-_TREE_CENSUS_CAP = 500_000
 _PARTITION_POINTS = (2, 3, 5, 10)
 
 
@@ -70,29 +67,37 @@ def _build_parser() -> argparse.ArgumentParser:
         "bounds", help="bound report for a graph, or the degree-only pair"
     )
     _add_graph_flags(p_bounds)
-    _add_common_flags(p_bounds)
+    p_bounds.add_argument("--order", type=int, help="add the series-form radius at this order")
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_table = sub.add_parser(
         "table", help="comparison table over degrees 2, 3, 4, 6"
     )
-    _add_common_flags(p_table)
     p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser(
         "verify", help="identity checks for one graph; exit 0 iff all pass"
     )
     _add_graph_flags(p_verify)
-    _add_common_flags(p_verify)
+    p_verify.add_argument("--q", type=float, default=10.0, help="q of the activity checks")
+    p_verify.add_argument("--a", type=float, help="run the convergence check at this a")
+    p_verify.add_argument("--order", type=int, default=16, help="series order of the --a check")
+    p_verify.add_argument("--tol", type=float, default=1e-8, help="root residual tolerance")
+    p_verify.add_argument(
+        "--max-vertices", type=int, default=_DEFAULT_VERTEX_CAP, help="polynomial-computation cap"
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_series = sub.add_parser(
         "series", help="rooted-tree series coefficients and thresholds"
     )
     _add_graph_flags(p_series)
-    _add_common_flags(p_series)
+    p_series.add_argument("--order", type=int, default=10, help="series truncation order")
+    p_series.add_argument("--b", type=float, help="saturation level for the series threshold")
     p_series.set_defaults(func=_cmd_series)
 
+    for p in (p_bounds, p_table, p_verify, p_series):
+        p.add_argument("--format", choices=_FORMATS, help="output format")
     return parser
 
 
@@ -104,22 +109,7 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--n", type=int, help="vertex count for generated families")
     p.add_argument("--seed", type=int, help="seed for randomized families")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=int, help="maximum degree for degree-only modes")
-    p.add_argument("--order", type=int, help="series truncation order")
-    p.add_argument("--q", type=float, help="evaluation point for activity checks")
-    p.add_argument("--a", type=float, help="convergence-check parameter")
-    p.add_argument("--b", type=float, help="saturation level for the series threshold")
-    p.add_argument("--tol", type=float, default=1e-8, help="root residual tolerance")
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=_DEFAULT_VERTEX_CAP,
-        help="polynomial-computation cap",
-    )
-    p.add_argument("--format", choices=_FORMATS, help="output format")
+    p.add_argument("--delta", type=int, help="degree for degree-only modes and random-regular")
 
 
 def _resolve_format(args, default: str, parser) -> str:
@@ -286,36 +276,28 @@ def _cmd_verify(args, parser) -> int:
             "SKIP",
             "the signed sum is defined for connected graphs only",
         )
-    elif (tree_count := spanning_tree_count(g)) > _TREE_CENSUS_CAP:
-        record(
-            "penrose-identity",
-            "SKIP",
-            f"{tree_count} spanning trees, census cap is {_TREE_CENSUS_CAP}",
-        )
     else:
-        rep = penrose_report(g)
-        sign = -1 if (g.n - 1) % 2 else 1
-        ok = rep.s_value == sign * rep.penrose_count
-        record(
-            "penrose-identity",
-            "PASS" if ok else "FAIL",
-            f"S={rep.s_value}, trees={rep.tree_count}, "
-            f"penrose={rep.penrose_count}, weak={rep.weak_penrose_count}",
-        )
+        try:
+            rep = penrose_report(g)
+        except ResourceLimitError as exc:
+            record("penrose-identity", "SKIP", str(exc))
+        else:
+            sign = -1 if (g.n - 1) % 2 else 1
+            ok = rep.s_value == sign * rep.penrose_count
+            record(
+                "penrose-identity",
+                "PASS" if ok else "FAIL",
+                f"S={rep.s_value}, trees={rep.tree_count}, "
+                f"penrose={rep.penrose_count}, weak={rep.weak_penrose_count}",
+            )
 
-    if g.n > _PARTITION_VERTEX_CAP:
-        record(
-            "partition-identity",
-            "SKIP",
-            f"{g.n} vertices exceed the exact-arithmetic cap of {_PARTITION_VERTEX_CAP}",
-        )
+    try:
+        partition = {q: hardcore_partition(g, q) for q in _PARTITION_POINTS}
+    except ResourceLimitError as exc:
+        record("partition-identity", "SKIP", str(exc))
     else:
         p = chromatic_polynomial(g)
-        bad = [
-            q
-            for q in _PARTITION_POINTS
-            if Fraction(q) ** g.n * hardcore_partition(g, q) != p(q)
-        ]
+        bad = [q for q, z in partition.items() if Fraction(q) ** g.n * z != p(q)]
         record(
             "partition-identity",
             "PASS" if not bad else "FAIL",
@@ -326,24 +308,16 @@ def _cmd_verify(args, parser) -> int:
     if g.m == 0 or g.n < 2:
         record("activity-bound", "SKIP", "no monomers in an edgeless graph")
     else:
-        q_eval = args.q if args.q is not None else 10.0
         top = min(5, g.n)
-        bad = [
-            n for n in range(2, top + 1) if not verify_cn_bound(g, n, q_eval).holds
-        ]
+        bad = [n for n in range(2, top + 1) if not verify_cn_bound(g, n, args.q).holds]
         record(
             "activity-bound",
             "PASS" if not bad else "FAIL",
-            f"sizes 2..{top} at q={q_eval}" + (f", exceeded at {bad}" if bad else ""),
+            f"sizes 2..{top} at q={args.q}" + (f", exceeded at {bad}" if bad else ""),
         )
 
     if args.a is not None:
-        fp = check_fp_condition(
-            g,
-            args.q if args.q is not None else 10.0,
-            args.a,
-            args.order if args.order is not None else 16,
-        )
+        fp = check_fp_condition(g, args.q, args.a, args.order)
         record(
             "fp-condition",
             "PASS" if fp.status == "satisfied" else "FAIL",
@@ -382,22 +356,21 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_series(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
-    order = args.order if args.order is not None else 10
-    if order < 1:
+    if args.order < 1:
         parser.error("--order must be at least 1")
     if _has_graph_source(args):
         g = _resolve_graph(args, parser)
         prof = neighborhood_profile(g)
         z = prof.z_polynomial()
         zt = prof.z_tilde_polynomial()
-        _, series = solve_tree_series(zt, z, order)
+        _, series = solve_tree_series(zt, z, args.order)
         source = _graph_label(args, g)
     else:
         if args.delta is None:
             parser.error("series needs --delta or a graph source (--graph/--family)")
         if args.delta < 1:
             parser.error("--delta must be at least 1")
-        series = t_n_delta(args.delta, order)
+        series = t_n_delta(args.delta, args.order)
         one_plus = IntPolynomial([1, 1])
         z = one_plus ** args.delta
         zt = one_plus ** (args.delta - 1)
@@ -405,7 +378,7 @@ def _cmd_series(args, parser) -> int:
     radius, u0 = series_radius(zt)
     payload = {
         "source": source,
-        "order": order,
+        "order": args.order,
         "coefficients": [str(c) for c in series.coefficients],
         "radius": radius if math.isfinite(radius) else "inf",
         "radius_argmax": u0 if math.isfinite(u0) else "inf",

@@ -91,10 +91,12 @@ class Graph:
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, relabeled densely in sorted vertex order."""
-        verts = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(verts)}
-        edges = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
-        return Graph(len(verts), edges)
+        vert_mask = 0
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range for {self.n} vertices")
+            vert_mask |= 1 << v
+        return Graph.from_masks(_induced_masks(self.adjacency_masks, vert_mask))
 
     def relabeled(self, perm: Iterable[int]) -> "Graph":
         """Apply the permutation old-label -> new-label."""
@@ -118,6 +120,20 @@ def _mask_bits(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def _induced_masks(masks: tuple[int, ...], vert_mask: int) -> tuple[int, ...]:
+    """Adjacency of the subgraph induced by ``vert_mask``, relabeled densely
+    in increasing vertex order."""
+    verts = list(_mask_bits(vert_mask))
+    pos = {v: i for i, v in enumerate(verts)}
+    out = []
+    for v in verts:
+        m = 0
+        for u in _mask_bits(masks[v] & vert_mask):
+            m |= 1 << pos[u]
+        out.append(m)
+    return tuple(out)
 
 
 def _components_masks(masks: tuple[int, ...]) -> list[int]:
@@ -485,56 +501,53 @@ class NeighborhoodProfile:
         }
 
 
-def _independent_subset_counts(masks: tuple[int, ...], pool: int, max_k: int) -> list[int]:
-    """counts[k] = number of independent k-subsets of the vertex mask ``pool``."""
-    counts = [0] * (max_k + 1)
-    counts[0] = 1
+def _independent_subset_counts(
+    masks: tuple[int, ...], pool: int, memo: dict[int, tuple[int, ...]]
+) -> tuple[int, ...]:
+    """counts[k] = number of independent k-subsets of the vertex mask ``pool``.
 
-    def rec(cand: int, size: int):
-        if size == max_k:
-            return
-        c = cand
-        while c:
-            b = c & -c
-            c ^= b
-            v = b.bit_length() - 1
-            counts[size + 1] += 1
-            if size + 1 < max_k:
-                rec(c & ~masks[v], size + 1)
-
-    rec(pool, 0)
-    return counts
+    The independence polynomial by I(P) = I(P - v) + x I(P - N[v]) with v
+    the lowest vertex of P, memoized on P in ``memo`` (which must map 0 to
+    (1,)); the tuple ends at the largest independent set.
+    """
+    hit = memo.get(pool)
+    if hit is not None:
+        return hit
+    low = pool & -pool
+    without = _independent_subset_counts(masks, pool ^ low, memo)
+    with_v = _independent_subset_counts(
+        masks, pool & ~low & ~masks[low.bit_length() - 1], memo
+    )
+    counts = list(without) + [0] * (len(with_v) + 1 - len(without))
+    for k, c in enumerate(with_v):
+        counts[k + 1] += c
+    memo[pool] = tuple(counts)
+    return memo[pool]
 
 
 def neighborhood_profile(g: Graph) -> NeighborhoodProfile:
     """Compute the independent-subset profile of every neighborhood.
 
-    Enumerates independent subsets of each neighborhood directly, so the
-    cost is at most 2^delta per vertex; fine for the desk scale this
-    package targets.
+    Counts the independent subsets of each neighborhood by size with
+    the deletion recursion of ``_independent_subset_counts``, sharing one
+    memo across all the neighborhoods of g. The recursion meets at most
+    2^delta masks per neighborhood, and only delta of them when the
+    neighborhood is independent (a star) or a clique.
     """
     delta = g.max_degree
     if delta == 0:
         raise ValueError("profile undefined for maximum degree 0")
     masks = g.adjacency_masks
+    memo = {0: (1,)}
     t = [0] * (delta + 1)
     t_tilde = [0] * delta
-    for v in range(g.n):
-        pool = masks[v]
-        d = pool.bit_count()
-        if d == 0:
-            continue
-        counts = _independent_subset_counts(masks, pool, d)
-        for k in range(1, d + 1):
-            if counts[k] > t[k]:
-                t[k] = counts[k]
-        if d >= 2:
-            for u in _mask_bits(pool):
-                reduced = pool & ~(1 << u)
-                counts = _independent_subset_counts(masks, reduced, d - 1)
-                for k in range(1, d):
-                    if counts[k] > t_tilde[k]:
-                        t_tilde[k] = counts[k]
+    for pool in masks:
+        for k, c in enumerate(_independent_subset_counts(masks, pool, memo)):
+            t[k] = max(t[k], c)
+        for u in _mask_bits(pool):
+            reduced = _independent_subset_counts(masks, pool & ~(1 << u), memo)
+            for k, c in enumerate(reduced):
+                t_tilde[k] = max(t_tilde[k], c)
     return NeighborhoodProfile(delta=delta, t=tuple(t[1:]), t_tilde=tuple(t_tilde[1:]))
 
 

@@ -20,18 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .chromatic import _chrom, _induced_masks
+from .chromatic import _chrom
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     _components_masks,
     _connected_sets_masks,
+    _induced_masks,
     _mask_bits,
     neighborhood_profile,
 )
 from .series import solve_tree_series
 
 _SIGNED_SUM_EDGE_CAP = 24
+_TREE_CENSUS_CAP = 500_000
 _PARTITION_VERTEX_CAP = 8
 _SUBSET_SIZE_CAP = 16
 
@@ -326,9 +328,15 @@ def penrose_report(g: Graph) -> PenroseReport:
     enumeration, so the collapse identity compares two independent
     computations. ``signed_connected_sum`` is the enumeration oracle that
     the tests hold the engine's S to.
+
+    A graph with more than 500000 spanning trees (Kirchhoff's count) raises
+    ``ResourceLimitError`` before the census starts.
     """
     if not g.is_connected():
         raise ValueError("signed sum is defined for connected graphs only")
+    count = spanning_tree_count(g)
+    if count > _TREE_CENSUS_CAP:
+        raise ResourceLimitError(f"{count} spanning trees, census cap is {_TREE_CENSUS_CAP}")
     s = _s_value_induced(g.adjacency_masks, (1 << g.n) - 1)
     trees = penrose = weak = 0
     for t in enumerate_spanning_trees(g):

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import jsonschema
 import pytest
 
-from chromabound.cli import main
+from chromabound.cli import _build_parser, main
 from chromabound.schemas import (
     BOUND_REPORT_SCHEMA,
     SERIES_OUTPUT_SCHEMA,
@@ -266,3 +267,53 @@ def test_random_family_is_deterministic(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+_GRAPH_FLAGS = {"--graph", "--family", "--n", "--seed", "--delta"}
+
+
+def _subparsers():
+    action = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    expected = {
+        "bounds": _GRAPH_FLAGS | {"--order", "--format"},
+        "table": {"--format"},
+        "verify": _GRAPH_FLAGS
+        | {"--q", "--a", "--order", "--tol", "--max-vertices", "--format"},
+        "series": _GRAPH_FLAGS | {"--order", "--b", "--format"},
+    }
+    for name, sub in _subparsers().items():
+        flags = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags == expected[name], name
+
+
+def test_subcommand_defaults():
+    subs = _subparsers()
+    verify = vars(subs["verify"].parse_args([]))
+    assert (verify["q"], verify["order"], verify["tol"], verify["max_vertices"]) == (
+        10.0, 16, 1e-8, 18,
+    )
+    assert verify["a"] is None
+    assert subs["series"].parse_args([]).order == 10
+    assert subs["bounds"].parse_args([]).order is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--tol", "1e-3"],
+        ["bounds", "--family", "petersen", "--q", "3"],
+        ["series", "--delta", "3", "--a", "0.5"],
+        ["verify", "--family", "petersen", "--b", "2"],
+    ],
+)
+def test_flag_the_subcommand_does_not_take_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

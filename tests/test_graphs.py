@@ -1,4 +1,7 @@
 import random
+import time
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -6,6 +9,7 @@ from chromabound import (
     Graph,
     GraphParseError,
     canonical_form,
+    connected_graphs,
     enumerate_connected_subsets,
     generate_graph,
     neighborhood_profile,
@@ -56,6 +60,13 @@ def test_induced_subgraph():
     h = g.induced([0, 1, 2])
     assert h.n == 3 and h.m == 2
     assert h.has_edge(0, 1) and h.has_edge(1, 2)
+    assert g.induced([4, 0, 4]) == Graph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("vertices", [[0, 5], [3], [-1, 1]])
+def test_induced_subgraph_rejects_out_of_range(vertices):
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1), (1, 2)]).induced(vertices)
 
 
 def test_relabeled_preserves_structure():
@@ -175,6 +186,44 @@ def test_profile_star():
     assert prof.delta == 4
     # The hub sees 4 pairwise nonadjacent leaves.
     assert prof.t == (4, 6, 4, 1)
+    assert prof.is_binomial()
+
+
+def _independent_count(g, pool, k):
+    return sum(
+        1
+        for sub in combinations(sorted(pool), k)
+        if not any(g.has_edge(u, v) for u, v in combinations(sub, 2))
+    )
+
+
+def _profile_brute(g):
+    delta = g.max_degree
+    t = [0] * delta
+    t_tilde = [0] * (delta - 1)
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        for k in range(1, len(nbrs) + 1):
+            t[k - 1] = max(t[k - 1], _independent_count(g, nbrs, k))
+        for u in nbrs:
+            for k in range(1, len(nbrs)):
+                t_tilde[k - 1] = max(t_tilde[k - 1], _independent_count(g, nbrs - {u}, k))
+    return tuple(t), tuple(t_tilde)
+
+
+def test_profile_matches_brute_force_on_small_connected_graphs():
+    for n in range(2, 8):
+        for g in connected_graphs(n):
+            prof = neighborhood_profile(g)
+            assert (prof.t, prof.t_tilde) == _profile_brute(g), g.edges
+
+
+def test_profile_of_a_large_star_is_fast_and_binomial():
+    start = time.perf_counter()
+    prof = neighborhood_profile(generate_graph("star", n=40))
+    assert time.perf_counter() - start < 1.0
+    assert prof.delta == 40
+    assert prof.t == tuple(comb(40, k) for k in range(1, 41))
     assert prof.is_binomial()
 
 

@@ -168,6 +168,12 @@ def test_penrose_identity_small_corpus():
             assert rep.penrose_count <= rep.weak_penrose_count <= rep.tree_count
 
 
+def test_penrose_report_stops_above_the_census_cap():
+    # K10 has 10^8 spanning trees, above the cap of 500000.
+    with pytest.raises(ResourceLimitError, match="100000000 spanning trees"):
+        penrose_report(generate_graph("complete", n=10))
+
+
 def test_penrose_report_validation_and_json():
     with pytest.raises(ValueError):
         PenroseReport(2, 3, 4, 2)
