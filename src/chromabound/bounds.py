@@ -83,6 +83,18 @@ def graph_id(g: Graph) -> str:
     return f"g{g.n}v{g.m}e-{digest}"
 
 
+def _minimize(f, lo: float, hi: float, **kwargs) -> OptimizationResult:
+    """``minimize_scalar``, raising ``InconclusiveError`` when the bracket
+    is still wider than the tolerance at the iteration cap."""
+    res = minimize_scalar(f, lo, hi, **kwargs)
+    if not res.tolerance_met:
+        raise InconclusiveError(
+            f"minimization over ({lo:.6g}, {hi:.6g}) missed its tolerance: "
+            f"bracket {res.bracket[0]:.12g}..{res.bracket[1]:.12g} at the iteration cap"
+        )
+    return res
+
+
 # ---------------------------------------------------------------------------
 # Degree-only bounds
 # ---------------------------------------------------------------------------
@@ -97,7 +109,7 @@ def sokal_bound(delta: int) -> OptimizationResult:
         w = 1.0 + a * math.exp(-a)
         return math.exp(a) * w ** (1.0 - 1.0 / delta) / (w ** (1.0 / delta) - 1.0)
 
-    return minimize_scalar(objective, 0.0, 10.0)
+    return _minimize(objective, 0.0, 10.0)
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +122,7 @@ def cstar_delta(delta: int) -> OptimizationResult:
     def objective(x: float) -> float:
         return (1.0 + x) ** (delta - 1) / (x * (2.0 - (1.0 + x) ** delta))
 
-    return minimize_scalar(objective, 0.0, hi)
+    return _minimize(objective, 0.0, hi)
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +139,7 @@ def cstar_delta_a_form(delta: int) -> OptimizationResult:
         b = 2.0 - math.exp(-a)
         return math.exp(a) * b ** (1.0 - 1.0 / delta) / (b ** (1.0 / delta) - 1.0)
 
-    return minimize_scalar(objective, 0.0, 10.0)
+    return _minimize(objective, 0.0, 10.0)
 
 
 def complete_graph_bound(delta: int) -> float:
@@ -152,8 +164,8 @@ def constants() -> dict[str, float]:
         return y / ((2.0 - y) * math.log(y))
 
     return {
-        "K": minimize_scalar(k_objective, 0.0, 10.0).value,
-        "K_star": minimize_scalar(k_star_objective, 1.0, 2.0).value,
+        "K": _minimize(k_objective, 0.0, 10.0).value,
+        "K_star": _minimize(k_star_objective, 1.0, 2.0).value,
     }
 
 
@@ -175,7 +187,7 @@ def _cstar_profile_opt(prof: NeighborhoodProfile) -> OptimizationResult:
     def objective(x: float) -> float:
         return zt(x) / (x * (2.0 - z(x)))
 
-    return minimize_scalar(objective, 0.0, x_max)
+    return _minimize(objective, 0.0, x_max)
 
 
 def cstar_graph(g: Graph) -> BoundReport:
@@ -209,8 +221,11 @@ def fp_parameters(g: Graph) -> tuple[float, float]:
     return -math.log(2.0 - prof.z_polynomial()(x)), x
 
 
-def cstar_graph_series(g: Graph, order: int = 64) -> float:
+def cstar_graph_series(g: Graph | NeighborhoodProfile, order: int = 64) -> float:
     """The per-graph bound recovered from the rooted-tree series.
+
+    ``g`` is the graph or, when the caller has it already, its
+    neighborhood profile, which is all the bound reads of the graph.
 
     For each a on a grid, bisection finds the least k such that
     sum_{n>=1} t_n (e^a/k)^{n-1} stays within 2 - e^{-a}, where the sum
@@ -221,7 +236,7 @@ def cstar_graph_series(g: Graph, order: int = 64) -> float:
     """
     if order < 8:
         raise ValueError("order must be at least 8")
-    prof = neighborhood_profile(g)
+    prof = g if isinstance(g, NeighborhoodProfile) else neighborhood_profile(g)
     z = prof.z_polynomial()
     zt = prof.z_tilde_polynomial()
     _, tbar = solve_tree_series(zt, z, order)
@@ -273,7 +288,7 @@ def cstar_graph_series(g: Graph, order: int = 64) -> float:
                 lo = mid
         return hi
 
-    coarse = minimize_scalar(least_kappa, 1e-3, 3.0, grid_points=96, tol=1e-9)
+    coarse = _minimize(least_kappa, 1e-3, 3.0, grid_points=96, tol=1e-9)
     return coarse.value
 
 

@@ -203,7 +203,7 @@ def _cmd_bounds(args, parser) -> int:
         report = dataclasses.replace(report, graph_id=_graph_label(args, g))
         if args.order is not None:
             report = dataclasses.replace(
-                report, c_star_graph_series=cstar_graph_series(g, args.order)
+                report, c_star_graph_series=cstar_graph_series(report.profile, args.order)
             )
         payload = report.to_json()
     if fmt == "json":
@@ -326,6 +326,11 @@ def _cmd_verify(args, parser) -> int:
 
     try:
         zrep = verify_zero_free(g, tol=args.tol, max_vertices=args.max_vertices)
+    except ResourceLimitError as exc:
+        record("zero-free", "SKIP", str(exc))
+    except ChromaboundError as exc:
+        record("zero-free", "FAIL", str(exc))
+    else:
         reference = (
             zrep.c_star_graph if zrep.c_star_graph is not None else zrep.c_star_delta
         )
@@ -334,8 +339,6 @@ def _cmd_verify(args, parser) -> int:
             "PASS" if zrep.zero_free_verified else "FAIL",
             f"max root modulus {zrep.max_root_modulus:.6g} vs bound {reference:.6g}",
         )
-    except ChromaboundError as exc:
-        record("zero-free", "FAIL", str(exc))
 
     ok = all(c["status"] != "FAIL" for c in checks)
     payload = {"graph_id": _graph_label(args, g), "ok": ok, "checks": checks}

@@ -37,5 +37,7 @@ class InconclusiveError(ChromaboundError):
     """A certified numeric check could neither pass nor fail.
 
     Raised when a tail estimate loses control (geometric ratio at or
-    above 1), so no finite computation settles the inequality.
+    above 1), so no finite computation settles the inequality, and when
+    a bound's minimization stops before its bracket reaches the
+    tolerance.
     """

@@ -6,11 +6,14 @@ size and S is the signed sum over connected spanning subgraphs of the
 induced graph. Every S the module uses is the linear coefficient of the
 induced graph's coloring polynomial, taken from the deletion-contraction
 engine; ``signed_connected_sum`` enumerates edge subsets instead and
-serves only as an oracle against it. The module classifies rooted
-spanning trees by the generation conditions that make the signed sum
-collapse to a single count, evaluates the exact hard-core partition
-function, and checks the fixed-point convergence inequality with a
-certified geometric tail.
+serves only as an oracle against it. The module counts the rooted
+spanning trees that meet the generation conditions under which the
+signed sum collapses to a single count, by subset DPs over layerings
+and sibling-free forests; ``enumerate_spanning_trees`` and
+``classify_tree`` build and sort every tree and serve as the tests'
+oracle for those counts. It also evaluates the exact hard-core
+partition function and checks the fixed-point convergence inequality
+with a certified geometric tail.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .graphs import (
 from .series import solve_tree_series
 
 _SIGNED_SUM_EDGE_CAP = 24
-_TREE_CENSUS_CAP = 500_000
+_DP_STATE_CAP = 500_000
 _PARTITION_VERTEX_CAP = 8
 _SUBSET_SIZE_CAP = 16
 
@@ -300,7 +303,7 @@ def classify_tree(t: RootedSpanningTree) -> str:
 
 @dataclass(frozen=True)
 class PenroseReport:
-    """Signed sum S next to the tree census it collapses onto."""
+    """Signed sum S next to the spanning-tree counts it collapses onto."""
 
     s_value: int
     tree_count: int
@@ -324,34 +327,143 @@ def penrose_report(g: Graph) -> PenroseReport:
     """Count spanning trees by class and set them against the signed sum.
 
     S is the linear coefficient of the coloring polynomial, from the
-    deletion-contraction engine; the tree census is a separate
-    enumeration, so the collapse identity compares two independent
-    computations. ``signed_connected_sum`` is the enumeration oracle that
-    the tests hold the engine's S to.
+    deletion-contraction engine. The three counts come from elsewhere:
+    ``tree_count`` is Kirchhoff's count, ``penrose_count`` the layering
+    DP and ``weak_penrose_count`` the sibling DP, so the collapse
+    identity compares independent computations. The tests hold both DPs
+    to the census of ``enumerate_spanning_trees`` and ``classify_tree``,
+    and the engine's S to ``signed_connected_sum``.
 
-    A graph with more than 500000 spanning trees (Kirchhoff's count) raises
-    ``ResourceLimitError`` before the census starts.
+    Each DP visits at most 500000 states and raises
+    ``ResourceLimitError`` beyond that.
     """
+    if g.n == 0:
+        raise ValueError("signed sum needs at least one vertex")
     if not g.is_connected():
         raise ValueError("signed sum is defined for connected graphs only")
-    count = spanning_tree_count(g)
-    if count > _TREE_CENSUS_CAP:
-        raise ResourceLimitError(f"{count} spanning trees, census cap is {_TREE_CENSUS_CAP}")
-    s = _s_value_induced(g.adjacency_masks, (1 << g.n) - 1)
-    trees = penrose = weak = 0
-    for t in enumerate_spanning_trees(g):
-        cls = classify_tree(t)
-        trees += 1
-        if cls == "penrose":
-            penrose += 1
-        if cls != "neither":
-            weak += 1
+    masks = g.adjacency_masks
+    rest = ((1 << g.n) - 1) & ~1
+    penrose = _penrose_layerings(masks, rest)
+    weak = _sibling_free_trees(masks, rest)
     return PenroseReport(
-        s_value=s,
-        tree_count=trees,
+        s_value=_s_value_induced(masks, (1 << g.n) - 1),
+        tree_count=spanning_tree_count(g),
         penrose_count=penrose,
         weak_penrose_count=weak,
     )
+
+
+def _state_cap_error(dp: str) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"the {dp} DP visited more than {_DP_STATE_CAP} states, its cap"
+    )
+
+
+def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
+    """Number of Penrose trees rooted at vertex 0.
+
+    By ``classify_tree`` a Penrose tree is fixed by its generations
+    L0 = {0}, L1, ...: each is an independent set, every vertex has a
+    neighbour in the generation before (its parent is the largest one),
+    and any such layering gives a Penrose tree. ``count(rest, cand)``
+    counts the layerings of the unplaced vertices ``rest`` whose next
+    generation is drawn from ``cand``, the unplaced neighbours of the
+    last one. A candidate with no unplaced neighbour has no later parent,
+    so it joins the next generation.
+    """
+    n = len(masks)
+    memo: dict[int, int] = {}
+    steps = 0
+
+    def count(rest: int, cand: int) -> int:
+        nonlocal steps
+        if not rest:
+            return 1
+        key = rest | cand << n
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        forced = 0
+        for v in _mask_bits(cand):
+            if not masks[v] & rest:
+                forced |= 1 << v
+        total = 0
+        # independent subsets of cand holding every forced vertex, with
+        # the union of their neighbourhoods
+        stack = [(forced, 0, cand & ~forced)]
+        while stack:
+            layer, reach, free = stack.pop()
+            if free:
+                b = free & -free
+                nb = masks[b.bit_length() - 1]
+                stack.append((layer, reach, free ^ b))
+                stack.append((layer | b, reach | nb, free & ~b & ~nb))
+                continue
+            if not layer:
+                continue
+            steps += 1
+            if steps > _DP_STATE_CAP:
+                raise _state_cap_error("Penrose layering")
+            left = rest & ~layer
+            if not left:
+                total += 1
+            elif reach & left:
+                total += count(left, reach & left)
+        memo[key] = total
+        return total
+
+    try:
+        return count(rest, masks[0] & rest)
+    finally:
+        memo.clear()
+
+
+def _sibling_free_trees(masks: tuple[int, ...], rest: int) -> int:
+    """Number of spanning trees rooted at vertex 0 in which no host edge
+    joins two children of one parent (the weakly Penrose trees).
+
+    ``count(rest, roots)`` counts the forests that cover ``rest`` with
+    pairwise non-adjacent roots drawn from ``roots``, each tree again
+    sibling-free; the trees hung from v are such a forest on its
+    descendants with roots in N(v). The block holding the lowest vertex
+    of ``rest`` is a connected set with one root a, which splits the
+    count into the trees below a and a forest on the rest whose roots
+    avoid N(a).
+    """
+    n = len(masks)
+    memo: dict[int, int] = {}
+    steps = 0
+
+    def count(rest: int, roots: int) -> int:
+        nonlocal steps
+        if not rest:
+            return 1
+        key = rest | roots << n
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        total = 0
+        low = (rest & -rest).bit_length() - 1
+        for block in _connected_sets_masks(masks, low, rest, 1, n):
+            steps += 1
+            if steps > _DP_STATE_CAP:
+                raise _state_cap_error("weakly Penrose")
+            left = rest & ~block
+            for a in _mask_bits(block & roots):
+                others = roots & left & ~masks[a]
+                if left and not others:
+                    continue
+                inner = block & ~(1 << a)
+                below = count(inner, masks[a] & inner)
+                if below:
+                    total += below * count(left, others)
+        memo[key] = total
+        return total
+
+    try:
+        return count(rest, masks[0] & rest)
+    finally:
+        memo.clear()
 
 
 def spanning_tree_count(g: Graph) -> int:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import jsonschema
 import pytest
 
 from chromabound import (
+    InconclusiveError,
     Graph,
     check_fp_condition,
     complete_graph_bound,
@@ -21,6 +23,7 @@ from chromabound import (
     sokal_bound,
     verify_zero_free,
 )
+from chromabound import bounds
 from chromabound.schemas import BOUND_REPORT_SCHEMA
 
 
@@ -177,3 +180,35 @@ def test_verify_zero_free_degenerate_graphs():
     rep = verify_zero_free(Graph(1, []))
     assert rep.zero_free_verified
     assert rep.max_root_modulus == 0.0
+
+
+def test_series_form_takes_the_profile_in_place_of_the_graph():
+    g = generate_graph("petersen")
+    assert cstar_graph_series(neighborhood_profile(g), 32) == cstar_graph_series(g, 32)
+
+
+def test_minimization_that_misses_its_tolerance_is_inconclusive(monkeypatch):
+    real = bounds.minimize_scalar
+
+    def missed(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), tolerance_met=False)
+
+    cached = (sokal_bound, cstar_delta, cstar_delta_a_form, constants)
+    for fn in cached:
+        fn.cache_clear()
+    monkeypatch.setattr(bounds, "minimize_scalar", missed)
+    g = generate_graph("cycle", n=5)
+    try:
+        for call in (
+            lambda: sokal_bound(3),
+            lambda: cstar_delta(3),
+            lambda: cstar_delta_a_form(3),
+            constants,
+            lambda: cstar_graph_opt(g),
+            lambda: cstar_graph_series(g, 16),
+        ):
+            with pytest.raises(InconclusiveError, match="missed its tolerance"):
+                call()
+    finally:
+        for fn in cached:
+            fn.cache_clear()

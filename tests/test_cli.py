@@ -4,7 +4,9 @@ import json
 import jsonschema
 import pytest
 
+from chromabound import bounds, cli
 from chromabound.cli import _build_parser, main
+from chromabound.errors import ConvergenceError, InconclusiveError
 from chromabound.schemas import (
     BOUND_REPORT_SCHEMA,
     SERIES_OUTPUT_SCHEMA,
@@ -168,26 +170,65 @@ def test_verify_disconnected_graph_skips_penrose(capsys, tmp_path):
     assert set(statuses.values()) == {"PASS"}
 
 
-def test_verify_census_skip_states_exact_tree_count(capsys):
+def test_verify_complete_10_passes_penrose_identity(capsys):
     code, out, _ = run(capsys, "verify", "--family", "complete", "--n", "10")
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["penrose-identity"]["status"] == "SKIP"
-    assert checks["penrose-identity"]["detail"].startswith("100000000 spanning trees,")
+    assert checks["penrose-identity"] == {
+        "name": "penrose-identity",
+        "status": "PASS",
+        "detail": "S=-362880, trees=100000000, penrose=362880, weak=362880",
+    }
     assert checks["partition-identity"]["status"] == "SKIP"
 
 
-def test_verify_failure_exits_nonzero(capsys):
-    # A vertex cap below the graph size makes the root check error out,
-    # which must surface as a failed check, not a crash.
+def test_verify_polynomial_cap_skips_zero_free(capsys):
     code, out, _ = run(
-        capsys, "verify", "--family", "petersen", "--max-vertices", "3"
+        capsys, "verify", "--family", "cycle", "--n", "12", "--max-vertices", "10"
     )
-    assert code == 1
+    assert code == 0
     payload = json.loads(out)
-    assert payload["ok"] is False
-    statuses = {c["name"]: c["status"] for c in payload["checks"]}
-    assert statuses["zero-free"] == "FAIL"
+    jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
+    assert payload["ok"] is True
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["zero-free"] == {
+        "name": "zero-free",
+        "status": "SKIP",
+        "detail": "graph has 12 vertices, exceeding the cap of 10",
+    }
+    assert checks["penrose-identity"]["status"] == "PASS"
+
+
+def test_verify_failure_exits_nonzero(capsys, monkeypatch):
+    # A root or bound computation that errors out must surface as a
+    # failed check, not a crash and not a skip.
+    for error in (ConvergenceError("roots did not converge"), InconclusiveError("bracket too wide")):
+
+        def fail(*args, error=error, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "verify_zero_free", fail)
+        code, out, _ = run(capsys, "verify", "--family", "petersen")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert checks["zero-free"] == {"name": "zero-free", "status": "FAIL", "detail": str(error)}
+
+
+def test_bounds_order_computes_the_profile_once(capsys, monkeypatch):
+    calls = []
+    real = bounds.neighborhood_profile
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(bounds, "neighborhood_profile", counted)
+    code, out, _ = run(capsys, "bounds", "--family", "petersen", "--order", "64")
+    assert code == 0
+    assert json.loads(out)["c_star_graph_series"] is not None
+    assert len(calls) == 1
 
 
 def test_verify_text_format(capsys):

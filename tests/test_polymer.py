@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabound import (
     Graph,
@@ -168,10 +170,60 @@ def test_penrose_identity_small_corpus():
             assert rep.penrose_count <= rep.weak_penrose_count <= rep.tree_count
 
 
-def test_penrose_report_stops_above_the_census_cap():
-    # K10 has 10^8 spanning trees, above the cap of 500000.
-    with pytest.raises(ResourceLimitError, match="100000000 spanning trees"):
-        penrose_report(generate_graph("complete", n=10))
+def _census(g):
+    """(Penrose, weakly Penrose) counts by building and sorting every tree."""
+    classes = [classify_tree(t) for t in enumerate_spanning_trees(g)]
+    return classes.count("penrose"), len(classes) - classes.count("neither")
+
+
+def test_penrose_dps_match_the_census():
+    # Every connected graph on at most 7 vertices (996 graphs).
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            rep = penrose_report(g)
+            assert (rep.penrose_count, rep.weak_penrose_count) == _census(g)
+            assert rep.tree_count == spanning_tree_count(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_penrose_dps_match_the_census_under_relabeling(data):
+    n = data.draw(st.integers(2, 6))
+    graphs = connected_graphs(n)
+    g = graphs[data.draw(st.integers(0, len(graphs) - 1))]
+    perm = data.draw(st.permutations(range(n)))
+    h = g.relabeled(perm)
+    rep, base = penrose_report(h), penrose_report(g)
+    assert (rep.penrose_count, rep.weak_penrose_count) == _census(h)
+    # |S| does not depend on the labels; the weakly Penrose count depends
+    # on which vertex is the root.
+    assert (rep.s_value, rep.tree_count, rep.penrose_count) == (
+        base.s_value, base.tree_count, base.penrose_count
+    )
+    if perm[0] == 0:
+        assert rep == base
+
+
+def test_penrose_counts_closed_forms():
+    for n, want in [(3, 2), (6, 120), (8, 5040), (10, 362880)]:
+        rep = penrose_report(generate_graph("complete", n=n))
+        assert (rep.penrose_count, rep.weak_penrose_count) == (want, want)
+        assert rep.tree_count == n ** (n - 2)
+    for n in range(4, 41, 6):
+        rep = penrose_report(generate_graph("cycle", n=n))
+        assert (rep.tree_count, rep.penrose_count, rep.weak_penrose_count) == (n, n - 1, n)
+    for g in [
+        generate_graph("path", n=30),
+        generate_graph("star", leaves=40),
+        Graph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5), (5, 6)]),
+    ]:
+        rep = penrose_report(g)
+        assert (rep.tree_count, rep.penrose_count, rep.weak_penrose_count) == (1, 1, 1)
+
+
+def test_penrose_report_stops_at_the_state_cap():
+    with pytest.raises(ResourceLimitError, match="more than 500000 states"):
+        penrose_report(generate_graph("grid", rows=5, cols=5))
 
 
 def test_penrose_report_validation_and_json():
