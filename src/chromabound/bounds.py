@@ -10,10 +10,11 @@ Three nested bounds, each a one-dimensional minimization:
     the graph's neighborhood growth polynomials.
 
 The module also evaluates the per-graph bound a second way, through the
-truncated rooted-tree series with a certified-enough tail, computes the
-two limiting constants of the degree-only bounds, and verifies actual
-zero-freeness: the largest modulus of the chromatic roots is certified
-by an exact disk test over the integers, so a verified flag is a proof.
+truncated rooted-tree series with a heuristic tail (a cross-check, not
+a proof), computes the two limiting constants of the degree-only
+bounds, and verifies actual zero-freeness: the largest modulus of the
+chromatic roots is certified by an exact disk test over the integers,
+so a verified flag is a proof.
 """
 
 from __future__ import annotations
@@ -227,12 +228,14 @@ def cstar_graph_series(g: Graph | NeighborhoodProfile, order: int = 64) -> float
     ``g`` is the graph or, when the caller has it already, its
     neighborhood profile, which is all the bound reads of the graph.
 
-    For each a on a grid, bisection finds the least k such that
+    For each a, bisection finds the least k such that
     sum_{n>=1} t_n (e^a/k)^{n-1} stays within 2 - e^{-a}, where the sum
     is the order-N partial sum plus a geometric tail allowance using the
-    empirical coefficient ratio inflated by 10%. The evaluation point
-    e^a/k is kept below 0.9 of the series radius. The minimum over a
-    must agree with the closed-form minimization.
+    empirical coefficient ratio inflated by 10%. That tail is heuristic:
+    nothing proves that the coefficients past order N grow by at most
+    that ratio, so the result is a cross-check of the closed-form
+    minimization, not a certified radius. The evaluation point e^a/k is
+    kept below 0.9 of the series radius.
     """
     if order < 8:
         raise ValueError("order must be at least 8")
@@ -288,8 +291,7 @@ def cstar_graph_series(g: Graph | NeighborhoodProfile, order: int = 64) -> float
                 lo = mid
         return hi
 
-    coarse = _minimize(least_kappa, 1e-3, 3.0, grid_points=96, tol=1e-9)
-    return coarse.value
+    return _minimize(least_kappa, 1e-3, 3.0, tol=1e-9).value
 
 
 def verify_zero_free(

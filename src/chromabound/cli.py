@@ -264,6 +264,8 @@ def _cmd_verify(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
     if not _has_graph_source(args):
         parser.error("verify needs a graph source (--graph/--family)")
+    if not args.tol > 0:  # also rejects nan
+        parser.error("--tol must be positive")
     g = _resolve_graph(args, parser)
     checks: list[dict] = []
 

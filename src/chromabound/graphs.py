@@ -161,32 +161,6 @@ def _components_masks(masks: tuple[int, ...]) -> list[int]:
 # Canonical labeling
 # ---------------------------------------------------------------------------
 
-def _refine(masks: tuple[int, ...], colors: list[int]) -> list[int]:
-    """Stable color refinement: iterate (color, sorted neighbor colors) ranking."""
-    n = len(masks)
-    while True:
-        sigs = []
-        for v in range(n):
-            neigh = sorted(colors[u] for u in _mask_bits(masks[v]))
-            sigs.append((colors[v], tuple(neigh)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _relabel_masks(masks: tuple[int, ...], newlabel: list[int]) -> tuple[int, ...]:
-    n = len(masks)
-    out = [0] * n
-    for v in range(n):
-        m = 0
-        for u in _mask_bits(masks[v]):
-            m |= 1 << newlabel[u]
-        out[newlabel[v]] = m
-    return tuple(out)
-
-
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """A canonical adjacency-mask tuple: equal iff the graphs are isomorphic.
 
@@ -203,15 +177,32 @@ def _canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
     n = len(masks)
     if n <= 1:
         return tuple(masks)
-    best: list[tuple[int, ...] | None] = [None]
+    nbrs = [tuple(_mask_bits(m)) for m in masks]
+    best: tuple[int, ...] | None = None
 
     def search(colors: list[int]) -> None:
-        colors = _refine(masks, colors)
-        ncolors = len(set(colors))
-        if ncolors == n:
-            cand = _relabel_masks(masks, colors)
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
+        nonlocal best
+        # stable color refinement: rank (color, sorted neighbor colors)
+        # until the ranks stop changing
+        while True:
+            sigs = [
+                (c, tuple(sorted(map(colors.__getitem__, nb))))
+                for c, nb in zip(colors, nbrs)
+            ]
+            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [rank[s] for s in sigs]
+            if new == colors:
+                break
+            colors = new
+        if len(rank) == n:
+            # discrete: vertex v gets label colors[v]
+            bit = [1 << c for c in colors]
+            cand = [0] * n
+            for c, nb in zip(colors, nbrs):
+                cand[c] = sum(map(bit.__getitem__, nb))
+            cand = tuple(cand)
+            if best is None or cand < best:
+                best = cand
             return
         # invariant cell choice: among non-singleton classes, smallest
         # size, then smallest color value
@@ -232,7 +223,7 @@ def _canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
     degs = [m.bit_count() for m in masks]
     rank = {d: i for i, d in enumerate(sorted(set(degs)))}
     search([rank[d] for d in degs])
-    return best[0]
+    return best
 
 
 def _interchangeable(masks: tuple[int, ...], v: int, u: int) -> bool:

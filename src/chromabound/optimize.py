@@ -2,9 +2,10 @@
 
 The objective functions in this package are smooth and unimodal on the
 interior of their domains but blow up at one or both endpoints, so the
-minimizer samples a dense interior grid to bracket the minimum and then
-sharpens the bracket by golden-section search. Exceptions and NaNs from
-the objective are treated as +inf rather than propagated.
+minimizer brackets the minimum between the neighbours of the least of
+32 evenly spaced interior samples and then sharpens that bracket by
+golden-section search to the requested tolerance. Exceptions and NaNs
+from the objective are treated as +inf rather than propagated.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ _GOLDEN_MAX_ITER = 200
 class OptimizationResult:
     """Outcome of a scalar minimization.
 
-    ``bracket`` is the final interval certifying ``argmin`` to within its
-    width; ``tolerance_met`` records whether that width reached the
-    requested tolerance before the iteration cap.
+    ``bracket`` is the final search interval, which holds ``argmin``;
+    ``tolerance_met`` records whether its width reached the requested
+    tolerance before the iteration cap. Near a minimum the objective is
+    flat to within rounding over a width of about sqrt(eps) relative, so
+    ``value`` is accurate to rounding but the true minimizer may lie
+    outside a narrower bracket.
     """
 
     argmin: float
@@ -38,10 +42,14 @@ def minimize_scalar(
     lo: float,
     hi: float,
     *,
-    grid_points: int = 1024,
+    grid_points: int = 32,
     tol: float = 1e-10,
 ) -> OptimizationResult:
-    """Minimize f over the open interval (lo, hi)."""
+    """Minimize f over the open interval (lo, hi).
+
+    ``grid_points`` evenly spaced samples bracket the minimum; a narrow
+    well between two samples needs a finer grid.
+    """
     if not lo < hi:
         raise ValueError("need lo < hi")
     if grid_points < 3:
@@ -83,10 +91,10 @@ def minimize_scalar(
             d = a + _INVPHI * (b - a)
             fd = g(d)
 
-    x_best = c if fc <= fd else d
+    x_best, f_best = (c, fc) if fc <= fd else (d, fd)
     return OptimizationResult(
         argmin=x_best,
-        value=g(x_best),
+        value=f_best,
         bracket=(a, b),
         evaluations=evals,
         tolerance_met=met,

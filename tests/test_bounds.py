@@ -212,3 +212,81 @@ def test_minimization_that_misses_its_tolerance_is_inconclusive(monkeypatch):
     finally:
         for fn in cached:
             fn.cache_clear()
+
+
+def _scipy_min(f, lo, hi):
+    from scipy.optimize import minimize_scalar as scipy_minimize
+
+    res = scipy_minimize(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    assert res.success
+    return res.fun
+
+
+def _assert_matches_scipy(ours, f, lo, hi):
+    assert ours.tolerance_met
+    assert ours.evaluations <= 100
+    assert ours.value == pytest.approx(_scipy_min(f, lo, hi), rel=1e-9)
+
+
+def test_per_graph_minimization_matches_scipy():
+    pytest.importorskip("scipy")
+    from scipy.optimize import brentq
+
+    profiles = {
+        neighborhood_profile(g)
+        for n in range(2, 8)
+        for g in connected_graphs(n)
+        if g.max_degree >= 2
+    }
+    assert len(profiles) == 124
+    for prof in profiles:
+        t, tt = prof.t, prof.t_tilde
+
+        def z(x, t=t):
+            return 1.0 + sum(c * x ** k for k, c in enumerate(t, start=1))
+
+        def objective(x, t=t, tt=tt):
+            zt = 1.0 + sum(c * x ** k for k, c in enumerate(tt, start=1))
+            return zt / (x * (2.0 - z(x)))
+
+        x_max = brentq(lambda x: z(x) - 2.0, 0.0, 1.0, xtol=1e-15)
+        _assert_matches_scipy(bounds._cstar_profile_opt(prof), objective, 0.0, x_max)
+
+
+def test_degree_bounds_and_constants_match_scipy(monkeypatch):
+    pytest.importorskip("scipy")
+    for d in range(2, 51):
+
+        def sokal(a, d=d):
+            w = 1.0 + a * math.exp(-a)
+            return math.exp(a) * w ** (1.0 - 1.0 / d) / (w ** (1.0 / d) - 1.0)
+
+        def improved(x, d=d):
+            return (1.0 + x) ** (d - 1) / (x * (2.0 - (1.0 + x) ** d))
+
+        _assert_matches_scipy(sokal_bound(d), sokal, 0.0, 10.0)
+        _assert_matches_scipy(cstar_delta(d), improved, 0.0, 2.0 ** (1.0 / d) - 1.0)
+
+    # constants() returns bare values: record the results it minimized
+    seen = []
+    real = bounds.minimize_scalar
+
+    def recording(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(bounds, "minimize_scalar", recording)
+    constants.cache_clear()
+    try:
+        got = constants()
+    finally:
+        constants.cache_clear()
+    k_res, k_star_res = seen
+
+    def k_objective(a):
+        w = 1.0 + a * math.exp(-a)
+        return math.exp(a) * w / math.log(w)
+
+    _assert_matches_scipy(k_res, k_objective, 0.0, 10.0)
+    _assert_matches_scipy(k_star_res, lambda y: y / ((2.0 - y) * math.log(y)), 1.0, 2.0)
+    assert (got["K"], got["K_star"]) == (k_res.value, k_star_res.value)

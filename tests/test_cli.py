@@ -358,3 +358,12 @@ def test_flag_the_subcommand_does_not_take_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
+    # Residuals are tested < tol, so such a tolerance would fail every root.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "cycle", "--n", "5", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol must be positive" in capsys.readouterr().err

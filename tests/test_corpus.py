@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from chromabound import (
     canonical_form,
     connected_graphs,
     corpus_graphs,
+    graph_id,
     named_corpus,
 )
 
@@ -57,3 +60,22 @@ def test_named_corpus():
     assert by_name["random-regular-10-3"].degrees() == (3,) * 10
     assert all(g.n <= 12 for _, g in entries)
     assert all(g.is_connected() for _, g in entries)
+
+
+def test_levels_and_graph_ids_are_pinned():
+    # Any change to canonical labeling that alters a representative, the
+    # level order or a graph_id shows here.
+    digest = hashlib.sha1()
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            digest.update(repr(tuple(g.adjacency_masks)).encode())
+    assert digest.hexdigest() == "c95895b85d6140c0e1b16b30c56c76e72510ee9b"
+    assert {name: graph_id(g) for name, g in named_corpus()} == {
+        "complete-8": "g8v28e-22db39a1",
+        "petersen": "g10v15e-c5d19800",
+        "cycle-12": "g12v12e-96fd9b66",
+        "path-12": "g12v11e-f0a8c3fb",
+        "star-11": "g12v11e-b6497fc6",
+        "grid-3x4": "g12v17e-d97c50b9",
+        "random-regular-10-3": "g10v15e-e91d7526",
+    }

@@ -5,6 +5,9 @@ from math import comb
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chromabound import (
     Graph,
     GraphParseError,
@@ -103,6 +106,39 @@ def test_canonical_form_separates_nonisomorphic():
     path = generate_graph("path", n=4)
     star = generate_graph("star", leaves=3)
     assert canonical_form(path) != canonical_form(star)
+
+
+def test_canonical_forms_match_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = [h for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 7]
+    forms = [
+        canonical_form(Graph(h.number_of_nodes(), h.edges()))
+        for h in atlas
+        if nx.is_connected(h)
+    ]
+    ours = [tuple(g.adjacency_masks) for n in range(1, 8) for g in connected_graphs(n)]
+    assert len(set(forms)) == 996
+    assert sorted(forms) == sorted(ours)
+
+
+@st.composite
+def _labeled_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    return Graph(n, edges), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labeled_graphs())
+def test_canonical_form_is_invariant_under_relabeling(case):
+    g, perm = case
+    form = canonical_form(g)
+    assert canonical_form(g.relabeled(perm)) == form
+    # the form is itself a labeling of g, and its own canonical form
+    h = Graph.from_masks(form)
+    assert sorted(h.degrees()) == sorted(g.degrees())
+    assert canonical_form(h) == form
 
 
 def test_parse_edge_list_roundtrip():
