@@ -1,8 +1,15 @@
 import hashlib
+import time
+from functools import lru_cache
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chromabound import (
+    Graph,
+    ResourceLimitError,
     canonical_form,
     connected_graphs,
     corpus_graphs,
@@ -10,9 +17,8 @@ from chromabound import (
     named_corpus,
 )
 
-# Connected unlabeled graphs by vertex count (level 8 is exercised in
-# the acceptance suite to keep unit runtime down).
-_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# Connected unlabeled graphs by vertex count (OEIS A001349).
+_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def test_level_counts():
@@ -48,6 +54,14 @@ def test_corpus_iterator_is_cumulative():
         connected_graphs(0)
 
 
+def test_level_ten_is_refused_before_any_work():
+    # 11716571 classes; level 9 alone takes hundreds of MB
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        connected_graphs(10)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_named_corpus():
     entries = named_corpus()
     names = [name for name, _ in entries]
@@ -70,6 +84,10 @@ def test_levels_and_graph_ids_are_pinned():
         for g in connected_graphs(n):
             digest.update(repr(tuple(g.adjacency_masks)).encode())
     assert digest.hexdigest() == "c95895b85d6140c0e1b16b30c56c76e72510ee9b"
+    digest = hashlib.sha1()
+    for g in connected_graphs(8):
+        digest.update(repr(tuple(g.adjacency_masks)).encode())
+    assert digest.hexdigest() == "86880c98baeab1e4975d252ab0ea0518b7ec90f3"
     assert {name: graph_id(g) for name, g in named_corpus()} == {
         "complete-8": "g8v28e-22db39a1",
         "petersen": "g10v15e-c5d19800",
@@ -79,3 +97,24 @@ def test_levels_and_graph_ids_are_pinned():
         "grid-3x4": "g12v17e-d97c50b9",
         "random-regular-10-3": "g10v15e-e91d7526",
     }
+
+
+@lru_cache(maxsize=None)
+def _representatives(n: int) -> frozenset:
+    return frozenset(tuple(g.adjacency_masks) for g in connected_graphs(n))
+
+
+@st.composite
+def _connected_labeled_graphs(draw):
+    # a random spanning tree, random extra edges, then a random labeling
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())}
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_connected_labeled_graphs())
+def test_every_connected_graph_has_a_representative(g):
+    assert canonical_form(g) in _representatives(g.n)
