@@ -100,7 +100,7 @@ def _minimize(f, lo: float, hi: float, **kwargs) -> OptimizationResult:
 # Degree-only bounds
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def sokal_bound(delta: int) -> OptimizationResult:
     """The classical degree-only zero-free radius, by minimization."""
     if delta < 2:
@@ -113,7 +113,7 @@ def sokal_bound(delta: int) -> OptimizationResult:
     return _minimize(objective, 0.0, 10.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cstar_delta(delta: int) -> OptimizationResult:
     """The improved degree-only radius, minimized in the x variable."""
     if delta < 2:
@@ -126,7 +126,7 @@ def cstar_delta(delta: int) -> OptimizationResult:
     return _minimize(objective, 0.0, hi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cstar_delta_a_form(delta: int) -> OptimizationResult:
     """The same improved radius in the a variable, for cross-checking.
 

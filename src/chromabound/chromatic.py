@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ResourceLimitError
 from .graphs import Graph, _canonical_masks, _components_masks, _induced_masks, _mask_bits
 from .polynomial import IntPolynomial, X
@@ -132,6 +130,7 @@ def count_proper_colorings(
 
     All q^n color assignments are examined (vectorized over numpy bit
     tables), so this is exact and independent of the polynomial engine.
+    numpy is imported on the first call, not with the package.
     """
     if q < 0:
         raise ValueError("color count must be non-negative")
@@ -166,6 +165,8 @@ def _edge_bit_masks(q: int, n: int) -> dict[tuple[int, int], int]:
     the mask (counted from the most significant end) corresponds to
     assignment i. Only relative consistency between masks matters.
     """
+    import numpy as np
+
     idx = np.arange(q ** n, dtype=np.int64)
     cols = [((idx // q ** j) % q).astype(np.uint8) for j in range(n)]
     out = {}
@@ -177,6 +178,8 @@ def _edge_bit_masks(q: int, n: int) -> dict[tuple[int, int], int]:
 
 
 def _count_chunked(g: Graph, q: int, total: int) -> int:
+    import numpy as np
+
     edges = sorted(g.edges)
     count = 0
     for start in range(0, total, _CHUNK):

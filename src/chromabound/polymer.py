@@ -41,8 +41,10 @@ _PARTITION_VERTEX_CAP = 8
 _SUBSET_SIZE_CAP = 16
 
 # Coloring-polynomial subresults are shared across all polymer
-# computations; keys are canonical forms, so the cache stays small.
+# computations, keyed by canonical form; emptied once it holds more than
+# _CHROM_CACHE_CAP entries, so a long sweep cannot grow it without limit.
 _CHROM_CACHE: dict = {}
+_CHROM_CACHE_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,8 @@ def _s_value_induced(masks: tuple[int, ...], sub_mask: int) -> int:
     ind = _induced_masks(masks, sub_mask)
     if len(_components_masks(ind)) != 1:
         raise ValueError("vertex set does not induce a connected subgraph")
+    if len(_CHROM_CACHE) > _CHROM_CACHE_CAP:
+        _CHROM_CACHE.clear()
     return _chrom(ind, _CHROM_CACHE).coefficients[1]
 
 

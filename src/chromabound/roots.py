@@ -1,20 +1,24 @@
 """Roots of integer polynomials and an exact test that they lie in a disk.
 
 ``roots_inside(p, R)`` is the Schur-Cohn test (Schur 1917, Cohn 1922)
-over the integers. ``polynomial_roots`` deflates the integer roots
-exactly, takes the rest from numpy's companion eigenvalues, rejects the
-set if any exactly evaluated residual |p(z)| / max_k |coeff_k| misses the
-tolerance, and certifies the largest modulus: an exact integer root or a
-radius the disk test passed, within 1e-9 relative of the exact value.
+over the integers. ``polynomial_roots`` strips the zero roots, divides
+out the small integer roots exactly by trial, and splits the quotient by
+exact gcds into square-free layers, so that every root the float step
+sees is simple. The Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
+1973) in Python floats finds the roots of each layer; an approximation
+that rounds to an integer root is divided out exactly too. No numpy is
+involved. It rejects the set if any exactly evaluated residual
+|p(z)| / max_k |coeff_k| misses the tolerance, and certifies the largest
+modulus: an exact integer root or a radius the disk test passed, within
+1e-9 relative of the exact value.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ConvergenceError
 from .polynomial import IntPolynomial
@@ -24,6 +28,14 @@ from .polynomial import IntPolynomial
 _CERT_REL = 1e-10
 _BRACKET_REL = 4e-10
 _NEWTON_STEPS = 4
+# Integer roots up to this modulus are divided out by trial before the
+# float step, so they come back exact and leave it a smaller polynomial;
+# a larger one is caught by rounding its approximation.
+_TRIAL_LIMIT = 16
+# Sweeps of the Aberth iteration; a root still moving after them fails the
+# residual test.
+_ABERTH_STEPS = 200
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -86,20 +98,21 @@ def polynomial_roots(p: IntPolynomial, tol: float = 1e-8) -> RootSet:
         rest.pop(0)
         zero_mult += 1
 
-    approx = _eig_roots(rest)
-    exact = []
-    for k in sorted({round(z.real) for z in approx if abs(z - round(z.real)) < 0.5}):
-        while k and len(rest) > 1:
-            quotient, remainder = _pseudo_divide(rest, [-k, 1])  # exact: monic
-            if remainder:
-                break
-            rest = quotient
-            exact.append(k)
-    if exact:
-        approx = _eig_roots(rest)
+    trials = [k for j in range(1, _TRIAL_LIMIT + 1) for k in (j, -j) if rest[0] % k == 0]
+    exact, rest = _divide_out(rest, trials)
+    layers = _multiplicity_layers(rest)
+    approx = [_aberth_roots(h) for h in layers]
+    near = {
+        round(z.real) for zs in approx for z in zs if cmath.isfinite(z) and abs(z.imag) < 0.5
+    }
+    more, rest = _divide_out(rest, sorted(k for k in near if abs(k) > _TRIAL_LIMIT))
+    if more:
+        exact += more
+        layers = _multiplicity_layers(rest)
+        approx = [_aberth_roots(h) for h in layers]
 
     found = [(0j, 0.0)] * zero_mult + [(complex(k), 0.0) for k in exact]
-    found += [_refine(p.coefficients, z, tol) for z in approx]
+    found += [_refine(p.coefficients, z, tol) for zs in approx for z in zs]
     found.sort(key=lambda t: (t[0].real, t[0].imag))
     roots = tuple(z for z, _ in found)
     residuals = tuple(r for _, r in found)
@@ -110,13 +123,65 @@ def polynomial_roots(p: IntPolynomial, tol: float = 1e-8) -> RootSet:
             roots=roots,
             residuals=residuals,
         )
-    return RootSet(roots, residuals, _max_modulus(exact, rest, approx))
+    return RootSet(roots, residuals, _max_modulus(exact, layers, approx))
 
 
-def _eig_roots(coeffs: list[int]) -> list[complex]:
-    if len(coeffs) == 1:
-        return []
-    return [complex(z) for z in np.roots([float(a) for a in reversed(coeffs)])]
+def _divide_out(coeffs: list[int], ks: list[int]) -> tuple[list[int], list[int]]:
+    """The integer roots among ks, with multiplicity, and the exact quotient."""
+    found = []
+    for k in ks:
+        while len(coeffs) > 1:
+            quotient, remainder = [0] * (len(coeffs) - 1), coeffs[-1]
+            for i in range(len(coeffs) - 2, -1, -1):  # synthetic division by q - k
+                quotient[i] = remainder
+                remainder = coeffs[i] + k * remainder
+            if remainder:
+                break
+            coeffs = quotient
+            found.append(k)
+    return found, coeffs
+
+
+def _aberth_roots(coeffs: list[int]) -> list[complex]:
+    """Float approximations to every root, by the Aberth-Ehrlich iteration
+    in Gauss-Seidel order. A root stops moving once |p(z)| is within the
+    rounding error of evaluating p at z."""
+    n = len(coeffs) - 1
+    if n <= 1:
+        return [complex(-coeffs[0] / coeffs[1])] if n else []
+    a = [float(c) for c in reversed(coeffs)]
+    # start on a circle around the roots' centroid, at the geometric mean
+    # of their distances from it
+    centre = -a[1] / (n * a[0])
+    radius = abs(_horner(a, centre)[0] / a[0]) ** (1 / n) or 1.0
+    z = [centre + radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    moving = list(range(n))
+    for _ in range(_ABERTH_STEPS):
+        if not moving:
+            break
+        still = []
+        for i in moving:
+            zi = z[i]
+            value, slope, bound = _horner(a, zi)
+            if abs(value) <= _EPS * bound:
+                continue
+            still.append(i)
+            pull = sum(1 / (zi - zj) for zj in z if zj != zi)
+            denominator = slope - value * pull
+            if denominator:
+                z[i] = zi - value / denominator
+        moving = still
+    return z
+
+
+def _horner(a: list[float], z: complex) -> tuple[complex, complex, float]:
+    """p(z), p'(z) and sum_k |a_k| |z|^k, for descending float coefficients."""
+    value, slope, bound, r = a[0], 0j, abs(a[0]), abs(z)
+    for c in a[1:]:
+        slope = slope * z + value
+        value = value * z + c
+        bound = bound * r + abs(c)
+    return value, slope, bound
 
 
 def _value(coeffs: tuple[int, ...], z: complex) -> complex:
@@ -135,16 +200,17 @@ def _value(coeffs: tuple[int, ...], z: complex) -> complex:
 
 
 def _refine(coeffs: tuple[int, ...], z: complex, tol: float) -> tuple[complex, float]:
-    """An eigenvalue and its residual, after Newton steps if it misses tol
+    """An approximate root and its residual, after Newton steps if it misses tol
     (a root of large modulus can miss by a few units in the last place);
     with p(z) exact, a float derivative suffices to reach the nearest floats."""
+    if not cmath.isfinite(z):
+        return z, math.inf
     scale = max(abs(c) for c in coeffs)
-    derivative = np.polyder(np.array(coeffs[::-1], dtype=float))
     best = (z, abs(_value(coeffs, z)) / scale)
     for _ in range(_NEWTON_STEPS):
         if best[1] < tol:
             break
-        dv = complex(np.polyval(derivative, z))
+        dv = _horner([float(c) for c in reversed(coeffs)], z)[1]
         if dv == 0:
             break
         z = z - _value(coeffs, z) / dv
@@ -152,14 +218,16 @@ def _refine(coeffs: tuple[int, ...], z: complex, tol: float) -> tuple[complex, f
     return best
 
 
-def _max_modulus(exact: list[int], rest: list[int], approx: list[complex]) -> float:
-    """Certified largest modulus over the integer roots and those of rest."""
+def _max_modulus(
+    exact: list[int], layers: list[list[int]], approx: list[list[complex]]
+) -> float:
+    """Certified largest modulus over the integer roots and those of the
+    layers; the first layer holds every other root once."""
     top = max((abs(k) for k in exact), default=0)
-    if len(rest) == 1:
+    if not layers:
         return float(top)
-    free = _squarefree(rest)
-    seed = max(abs(z) for z in (approx if free is rest else _eig_roots(free))) or 1.0
-    free = IntPolynomial(free)
+    seed = max(abs(z) for z in approx[0]) or 1.0
+    free = IntPolynomial(layers[0])
     if top >= seed * (1 + _CERT_REL) and roots_inside(free, top):
         return float(top)
     return max(float(top), _certified_radius(free, seed))
@@ -179,12 +247,19 @@ def _certified_radius(p: IntPolynomial, guess: float) -> float:
     return hi
 
 
-def _squarefree(coeffs: list[int]) -> list[int]:
-    """p / gcd(p, p') up to a constant: the same roots, each simple."""
-    a, b = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
-    while b:
-        a, b = b, _primitive(_pseudo_divide(a, b)[1])
-    return coeffs if len(a) == 1 else _primitive(_pseudo_divide(coeffs, a)[0])
+def _multiplicity_layers(coeffs: list[int]) -> list[list[int]]:
+    """h_1, h_2, ... up to constants: h_k has each root of multiplicity at
+    least k as a simple root, so the h_k together hold every root of p
+    with its multiplicity. h_k = g_{k-1} / g_k, where g_0 = p and g_k =
+    gcd(g_{k-1}, g_{k-1}'); the first layer is p's square-free part."""
+    layers = []
+    while len(coeffs) > 1:
+        a, b = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
+        while b:
+            a, b = b, _primitive(_pseudo_divide(a, b)[1])
+        layers.append(coeffs if len(a) == 1 else _primitive(_pseudo_divide(coeffs, a)[0]))
+        coeffs = a
+    return layers
 
 
 def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

@@ -98,7 +98,7 @@ def solve_tree_series(
     return TruncatedSeries(tuple(u[1:]), order), TruncatedSeries(tuple(t), order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def t_n_delta(delta: int, order: int) -> TruncatedSeries:
     """The series t_n for the degree-delta regular profile, to the
     given order.

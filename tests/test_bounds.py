@@ -214,6 +214,17 @@ def test_minimization_that_misses_its_tolerance_is_inconclusive(monkeypatch):
             fn.cache_clear()
 
 
+def test_degree_bound_caches_are_bounded():
+    for fn in (sokal_bound, cstar_delta, cstar_delta_a_form):
+        fn.cache_clear()
+        size = fn.cache_info().maxsize
+        assert size is not None
+        for delta in range(2, size + 12):
+            fn(delta)
+        assert fn.cache_info().currsize == size
+        fn.cache_clear()
+
+
 def _scipy_min(f, lo, hi):
     from scipy.optimize import minimize_scalar as scipy_minimize
 

@@ -30,6 +30,7 @@ from chromabound import (
     spanning_tree_count,
     verify_cn_bound,
 )
+from chromabound import polymer
 from chromabound.schemas import FP_REPORT_SCHEMA, PENROSE_REPORT_SCHEMA
 
 
@@ -245,6 +246,19 @@ def test_partition_identity_connected():
         p = chromatic_polynomial(g)
         for q in (2, 3, Fraction(7, 2), 10):
             assert Fraction(q) ** g.n * hardcore_partition(g, q) == p(q)
+
+
+def test_chrom_cache_is_emptied_past_its_cap(monkeypatch):
+    g = generate_graph("grid", rows=2, cols=4)
+    polymer._CHROM_CACHE.clear()
+    uncapped = hardcore_partition(g, 5)
+    full = len(polymer._CHROM_CACHE)
+    monkeypatch.setattr(polymer, "_CHROM_CACHE_CAP", 3)
+    polymer._CHROM_CACHE.clear()
+    assert hardcore_partition(g, 5) == uncapped
+    assert full > 10
+    assert len(polymer._CHROM_CACHE) < full
+    polymer._CHROM_CACHE.clear()
 
 
 def test_partition_identity_disconnected():

@@ -2,9 +2,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,9 @@ from chromabound import (
     Graph,
     IntPolynomial,
     chromatic_polynomial,
+    connected_graphs,
     generate_graph,
+    named_corpus,
     polynomial_roots,
     roots_inside,
 )
@@ -178,8 +182,7 @@ def test_petersen_largest_root():
     assert math.isclose(abs(top), rs.max_modulus)
 
 
-def test_import_does_not_load_mpmath():
-    code = "import sys, chromabound; print('mpmath' in sys.modules)"
+def _fresh_interpreter_loads(code: str) -> str:
     src = Path(chromabound.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -188,4 +191,103 @@ def test_import_does_not_load_mpmath():
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, chromabound; print('mpmath' in sys.modules)"
+    assert _fresh_interpreter_loads(code) == "False"
+
+
+def test_import_and_cli_commands_do_not_load_numpy():
+    code = """
+import contextlib, io, sys
+import chromabound, chromabound.cli
+for argv in (["verify", "--family", "petersen"], ["bounds", "--family", "petersen"],
+             ["series", "--family", "petersen"], ["table"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert chromabound.cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+    assert _fresh_interpreter_loads(code) == "False"
+
+
+def _strip_root(coeffs: list[int], k: int) -> tuple[list[int], int]:
+    """Divide (q - k) out of coeffs (ascending) while it divides exactly."""
+    mult = 0
+    while len(coeffs) > 1:
+        quotient, r = [], 0
+        for c in reversed(coeffs):
+            r = r * k + c
+            quotient.append(r)
+        if quotient.pop():
+            break
+        coeffs, mult = quotient[::-1], mult + 1
+    return coeffs, mult
+
+
+def _mpmath_roots(p: IntPolynomial) -> list[complex]:
+    """All roots by mpmath's Durand-Kerner iteration. The roots at 0, 1
+    and 2, often multiple, are divided out exactly first: on a multiple
+    root the iteration converges only linearly."""
+    rest, roots = list(p.coefficients), []
+    for k in (0, 1, 2):
+        rest, mult = _strip_root(rest, k)
+        roots += [complex(k)] * mult
+    if len(rest) > 1:
+        roots += [complex(z) for z in mpmath.polyroots(rest[::-1], maxsteps=800, extraprec=600)]
+    return roots
+
+
+def test_roots_match_mpmath_on_the_criterion_9_polynomials():
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [g for _, g in named_corpus()]
+    graphs.append(generate_graph("petersen"))
+    graphs += [generate_graph("random-regular", n=12, degree=3, seed=s) for s in (1, 2)]
+    polys = {chromatic_polynomial(g) for g in graphs}
+    assert len(polys) > 300
+    for p in polys:
+        mine = list(polynomial_roots(p, tol=1e-10).roots)
+        reference = _mpmath_roots(p)
+        assert len(mine) == len(reference) == p.degree
+        for w in reference:
+            z = min(mine, key=lambda z: abs(z - w))
+            assert abs(z - w) <= 1e-8 * abs(w), (p, w, z)
+            mine.remove(z)
+
+
+_integer_factors = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(1, 4)), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_factors, _quadratic)
+def test_integer_roots_come_back_exactly(factors, quadratic):
+    p = quadratic
+    for k, m in factors:
+        p = p * IntPolynomial([-k, 1]) ** m
+    try:
+        rs = polynomial_roots(p)
+        roots, residuals = rs.roots, rs.residuals
+    except ConvergenceError as err:
+        # a root of the quadratic can miss the tolerance at its nearest
+        # float when the integer factors make |p'| large there, as for
+        # q^12 (q^2 + 4q - 2); the integer roots must be exact regardless
+        roots, residuals = err.roots, err.residuals
+    exact = [z.real for z, r in zip(roots, residuals) if z == round(z.real) and r == 0.0]
+    for k in {k for k, _ in factors}:
+        assert exact.count(k) >= sum(m for j, m in factors if j == k), (k, roots)
+
+
+def test_integer_root_past_the_trial_limit_is_exact():
+    rs = polynomial_roots((X - 10**6) * (X**2 + 1))
+    assert rs.max_modulus == 1e6
+    assert complex(10**6) in rs.roots
+
+
+def test_trial_division_does_not_scan_to_the_root_bound():
+    t0 = time.perf_counter()
+    rs = polynomial_roots(X - 10**30)
+    assert time.perf_counter() - t0 < 0.5
+    assert rs.max_modulus == pytest.approx(1e30, rel=1e-9)

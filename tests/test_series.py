@@ -46,6 +46,16 @@ def test_degree_one_series():
         t_n_delta(0, 5)
 
 
+def test_t_n_delta_cache_is_bounded():
+    t_n_delta.cache_clear()
+    size = t_n_delta.cache_info().maxsize
+    assert size is not None
+    for delta in range(1, size + 12):
+        t_n_delta(delta, 4)
+    assert t_n_delta.cache_info().currsize == size
+    t_n_delta.cache_clear()
+
+
 def test_child_series_is_generalized_catalan():
     # U = x * Z~(U) with Z~ = (1+u)^(d-1) has the Fuss-Catalan solution
     # U_n = binom((d-1) n, n-1) / n.
