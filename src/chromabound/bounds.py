@@ -9,12 +9,12 @@ Three nested bounds, each a one-dimensional minimization:
   * the per-graph bound, the same shape with the binomials replaced by
     the graph's neighborhood growth polynomials.
 
-The module also evaluates the per-graph bound a second way, through the
-truncated rooted-tree series with a heuristic tail (a cross-check, not
-a proof), computes the two limiting constants of the degree-only
-bounds, and verifies actual zero-freeness: the largest modulus of the
-chromatic roots is certified by an exact disk test over the integers,
-so a verified flag is a proof.
+The module also evaluates the per-graph bound a second way, in the a
+variable through the rooted-tree series, whose sum is exact at the
+saturation point and which a truncated partial sum checks; computes the
+two limiting constants of the degree-only bounds; and verifies actual
+zero-freeness: the largest modulus of the chromatic roots is certified
+by an exact disk test over the integers, so a verified flag is a proof.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
@@ -30,9 +31,11 @@ from .errors import InconclusiveError
 from .graphs import Graph, NeighborhoodProfile, canonical_form, neighborhood_profile
 from .optimize import OptimizationResult, bisect_increasing, minimize_scalar
 from .roots import polynomial_roots
-from .series import series_radius, solve_tree_series
+from .series import series_radius, solve_tree_series, sup_x_threshold
 
 _ORDER_SLACK = 1e-9
+# relative room for the bisection error of the saturation point
+_SERIES_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -223,75 +226,34 @@ def fp_parameters(g: Graph) -> tuple[float, float]:
 
 
 def cstar_graph_series(g: Graph | NeighborhoodProfile, order: int = 64) -> float:
-    """The per-graph bound recovered from the rooted-tree series.
+    """The per-graph bound in the a variable, from the rooted-tree series.
 
-    ``g`` is the graph or, when the caller has it already, its
-    neighborhood profile, which is all the bound reads of the graph.
-
-    For each a, bisection finds the least k such that
-    sum_{n>=1} t_n (e^a/k)^{n-1} stays within 2 - e^{-a}, where the sum
-    is the order-N partial sum plus a geometric tail allowance using the
-    empirical coefficient ratio inflated by 10%. That tail is heuristic:
-    nothing proves that the coefficients past order N grow by at most
-    that ratio, so the result is a cross-check of the closed-form
-    minimization, not a certified radius. The evaluation point e^a/k is
-    kept below 0.9 of the series radius.
+    ``g`` is the graph or its neighborhood profile, all the bound reads of
+    the graph. At each a the radius is e^a/y for the largest y with
+    sum_n t_n y^{n-1} = Z(U(y)) <= b = 2 - e^{-a}: the saturation point
+    ``sup_x_threshold(b)`` while b < Z(u0), u0 maximizing u/Zt(u), and the
+    series radius once b >= Z(u0). ``order`` sets a check: the exact
+    order-N partial sum at the minimizing y, whose terms are non-negative,
+    must not pass b beyond the bisection's tolerance, or
+    ``InconclusiveError`` is raised.
     """
     if order < 8:
         raise ValueError("order must be at least 8")
     prof = g if isinstance(g, NeighborhoodProfile) else neighborhood_profile(g)
-    z = prof.z_polynomial()
-    zt = prof.z_tilde_polynomial()
-    _, tbar = solve_tree_series(zt, z, order)
-    coeffs = [float(c) for c in tbar.coefficients]
-    radius, _ = series_radius(zt)
+    z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
+    radius, u0 = series_radius(zt)
+    z_u0 = z(u0) if math.isfinite(u0) else math.inf
 
-    ratios = [
-        coeffs[i + 1] / coeffs[i]
-        for i in range(max(0, order - 8), order - 1)
-        if coeffs[i] > 0.0
-    ]
-    rho = 1.1 * max(ratios, default=0.0)
-
-    def partial_sum(x: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    def certified_within(x: float, b: float) -> bool:
-        if coeffs[-1] == 0.0:
-            tail = 0.0
-        else:
-            if rho * x >= 1.0:
-                return False
-            tail = coeffs[-1] * x ** (order - 1) * rho * x / (1.0 - rho * x)
-        return partial_sum(x) + tail <= b
-
-    def least_kappa(a: float) -> float:
+    def saturation(a: float) -> float:
         b = 2.0 - math.exp(-a)
-        ea = math.exp(a)
-        lo = ea / (0.9 * radius) if math.isfinite(radius) else 1e-12
-        if certified_within(ea / lo, b):
-            return lo
-        hi = lo
-        for _ in range(80):
-            hi *= 2.0
-            if certified_within(ea / hi, b):
-                break
-        else:
-            raise InconclusiveError(
-                "tail allowance never certifiable; ratio too close to 1"
-            )
-        while hi - lo > 1e-12 * hi:
-            mid = 0.5 * (lo + hi)
-            if certified_within(ea / mid, b):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return sup_x_threshold(b, z, zt) if b < z_u0 else radius
 
-    return _minimize(least_kappa, 1e-3, 3.0, tol=1e-9).value
+    res = _minimize(lambda a: math.exp(a) / saturation(a), 1e-3, 3.0, tol=1e-9)
+    b, y = 2.0 - math.exp(-res.argmin), Fraction(saturation(res.argmin))
+    head = solve_tree_series(zt, z, order)[1](y) / y
+    if head > b * (1.0 + _SERIES_SLACK):
+        raise InconclusiveError(f"order-{order} partial sum {float(head)!r} exceeds {b!r}")
+    return res.value
 
 
 def verify_zero_free(

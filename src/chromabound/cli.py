@@ -67,7 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "bounds", help="bound report for a graph, or the degree-only pair"
     )
     _add_graph_flags(p_bounds)
-    p_bounds.add_argument("--order", type=int, help="add the series-form radius at this order")
+    p_bounds.add_argument(
+        "--order",
+        type=int,
+        help="add the series-form radius, checked by its order-N partial sum",
+    )
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_table = sub.add_parser(

@@ -36,8 +36,8 @@ class ConvergenceError(ChromaboundError):
 class InconclusiveError(ChromaboundError):
     """A certified numeric check could neither pass nor fail.
 
-    Raised when a tail estimate loses control (geometric ratio at or
-    above 1), so no finite computation settles the inequality, and when
-    a bound's minimization stops before its bracket reaches the
-    tolerance.
+    Raised when a bound's minimization stops before its bracket reaches
+    the tolerance, and when a truncated series sum exceeds the level
+    that the exact sum meets at the computed saturation point, so the
+    point is not confirmed.
     """

@@ -19,6 +19,7 @@ with a certified geometric tail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -38,6 +39,7 @@ from .series import solve_tree_series
 _SIGNED_SUM_EDGE_CAP = 24
 _DP_STATE_CAP = 500_000
 _PARTITION_VERTEX_CAP = 8
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SUBSET_SIZE_CAP = 16
 
 # Coloring-polynomial subresults are shared across all polymer
@@ -572,11 +574,26 @@ def cq_norm_scaled(g: Graph, n: int) -> int:
     return max(totals)
 
 
+def _scaled(k: int, q: float, e: int, log_factor: float = 0.0) -> float:
+    """e^log_factor * k / q^e as a float, through logarithms when a step
+    leaves the float range; inf when the value itself does."""
+    if k == 0:
+        return 0.0
+    try:
+        value = math.exp(log_factor) * k / q ** e
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if math.isinf(value):
+        log_value = log_factor + math.log(k) - e * math.log(q)
+        value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+    return value
+
+
 def cq_norm(g: Graph, n: int, q: float) -> float:
     """max over vertices of the summed activity magnitudes at size n."""
-    if not q > 0:
-        raise ValueError("q must be positive")
-    return cq_norm_scaled(g, n) / q ** (n - 1)
+    if not 0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
+    return _scaled(cq_norm_scaled(g, n), q, n - 1)
 
 
 @dataclass(frozen=True)
@@ -607,8 +624,8 @@ def verify_cn_bound(g: Graph, n: int, q: float) -> CnBoundReport:
     graph's own neighborhood growth profile. The comparison is exact:
     both sides are integers after scaling by q^{n-1}.
     """
-    if not q > 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
     lhs_scaled = cq_norm_scaled(g, n)
     if g.max_degree == 0:
         rhs_scaled = 0
@@ -618,10 +635,9 @@ def verify_cn_bound(g: Graph, n: int, q: float) -> CnBoundReport:
             prof.z_tilde_polynomial(), prof.z_polynomial(), n
         )
         rhs_scaled = tbar.coefficient(n)
-    scale = q ** (n - 1)
     return CnBoundReport(
-        lhs=lhs_scaled / scale,
-        rhs=rhs_scaled / scale,
+        lhs=_scaled(lhs_scaled, q, n - 1),
+        rhs=_scaled(rhs_scaled, q, n - 1),
         holds=lhs_scaled <= rhs_scaled,
         lhs_scaled=lhs_scaled,
         rhs_scaled=rhs_scaled,
@@ -669,20 +685,18 @@ def check_fp_condition(g: Graph, q: float, a: float, order: int) -> FpConditionR
     "inconclusive" otherwise, in particular whenever the tail ratio
     reaches 1 and certification is impossible.
     """
-    if not q > 0:
-        raise ValueError("q must be positive")
-    if not a > 0:
-        raise ValueError("a must be positive")
+    if not 0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
+    if not 0 < a < _LOG_FLOAT_MAX:
+        raise ValueError(f"a must lie in (0, {_LOG_FLOAT_MAX:.6g}) so that e^a fits a float")
     if order < 2:
         raise ValueError("truncation order must be at least 2")
     delta = g.max_degree
     threshold = math.expm1(a)
     head = 0.0
     for n in range(2, min(order, g.n) + 1):
-        scaled = cq_norm_scaled(g, n)
-        if scaled:
-            head += math.exp(a * n) * scaled / q ** (n - 1)
-    ratio = math.exp(1.0 + a) * delta / q
+        head += _scaled(cq_norm_scaled(g, n), q, n - 1, a * n)
+    ratio = _scaled(delta, q, 1, 1.0 + a)
     if head > threshold:
         return FpConditionReport(
             "violated", head, None, threshold, ratio, order, q, a

@@ -134,11 +134,11 @@ def series_radius(z_tilde: IntPolynomial) -> tuple[float, float]:
 def sup_x_threshold(b: float, z: IntPolynomial, z_tilde: IntPolynomial) -> float:
     """The point x_b = u_b / z_tilde(u_b) where u_b solves z(u_b) = b.
 
-    Requires b > 1 and a non-constant z, so that the level set exists on
-    u > 0.
+    Requires a finite b > 1 and a non-constant z, so that the level set
+    exists on u > 0.
     """
-    if not b > 1.0:
-        raise ValueError("level b must exceed 1")
+    if not 1.0 < b < math.inf:
+        raise ValueError("level b must be finite and exceed 1")
     _check_profile_poly(z, "z")
     _check_profile_poly(z_tilde, "z_tilde")
     if z.degree < 1:

@@ -7,6 +7,7 @@ import pytest
 from chromabound import (
     InconclusiveError,
     Graph,
+    NeighborhoodProfile,
     check_fp_condition,
     complete_graph_bound,
     connected_graphs,
@@ -19,6 +20,7 @@ from chromabound import (
     fp_parameters,
     generate_graph,
     graph_id,
+    named_corpus,
     neighborhood_profile,
     sokal_bound,
     verify_zero_free,
@@ -142,9 +144,50 @@ def test_series_form_agrees_with_optimization():
     ):
         series_value = cstar_graph_series(g, 64)
         direct = cstar_graph(g).c_star_graph
-        assert series_value == pytest.approx(direct, abs=1e-3)
+        assert series_value == pytest.approx(direct, rel=1e-10)
         with pytest.raises(ValueError):
             cstar_graph_series(g, 4)
+
+
+def test_series_form_is_the_closed_form_at_every_order():
+    # The series form reads only the profile, so one graph per distinct
+    # profile covers every graph of the set.
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n) if g.max_degree >= 2]
+    graphs += [g for _, g in named_corpus()]
+    graphs += [generate_graph("star", leaves=40), generate_graph("complete", n=18)]
+    profiles = {neighborhood_profile(g): g for g in graphs}
+    for order in (8, 16, 64):
+        for prof, g in profiles.items():
+            direct = cstar_graph(g).c_star_graph
+            assert cstar_graph_series(prof, order) == pytest.approx(direct, rel=1e-10), (
+                order,
+                prof,
+            )
+
+
+def test_series_form_takes_the_radius_past_the_reachable_level():
+    # Z(u) = 1 + u, Z~(u) = 1 + 5u^2: u/Z~(u) peaks at u0 = 1/sqrt(5), so
+    # the levels 2 - e^{-a} above Z(u0) ~ 1.447 saturate at the series radius.
+    prof = NeighborhoodProfile(delta=3, t=(1, 0, 0), t_tilde=(0, 5))
+    z_u0 = prof.z_polynomial()(1.0 / math.sqrt(5.0))
+    assert 2.0 - math.exp(-1e-3) < z_u0 < 2.0 - math.exp(-3.0)
+    direct = bounds._cstar_profile_opt(prof).value
+    for order in (8, 16, 64):
+        assert cstar_graph_series(prof, order) == pytest.approx(direct, rel=1e-10)
+
+
+def test_series_form_checks_orders_past_the_float_range():
+    # The Petersen profile's t_n passes the largest float at n = 519; the
+    # partial sum is taken in exact rationals.
+    g = generate_graph("petersen")
+    assert cstar_graph_series(g, 540) == pytest.approx(cstar_graph(g).c_star_graph, rel=1e-10)
+
+
+def test_series_form_raises_when_the_partial_sum_passes_the_level(monkeypatch):
+    real = bounds.sup_x_threshold
+    monkeypatch.setattr(bounds, "sup_x_threshold", lambda b, z, zt: 1.01 * real(b, z, zt))
+    with pytest.raises(InconclusiveError, match="partial sum"):
+        cstar_graph_series(generate_graph("petersen"), 64)
 
 
 def test_bound_report_json():

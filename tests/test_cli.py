@@ -97,7 +97,7 @@ def test_bounds_with_series_column(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["c_star_graph_series"] == pytest.approx(
-        payload["c_star_graph"], abs=1e-3
+        payload["c_star_graph"], rel=1e-10
     )
 
 
@@ -261,6 +261,41 @@ def test_verify_fp_check_rejects_order_below_two(capsys, order):
     )
     assert code == 1
     assert "truncation order must be at least 2" in err
+
+
+def test_verify_fp_check_sums_an_overflowing_head_in_logarithms(capsys):
+    # e^{2a} overflows a float at a = 400; the head's terms are summed in
+    # logarithms and reach inf, past the finite threshold e^a - 1.
+    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "5", "--a", "400")
+    assert code == 1
+    fp = {c["name"]: c for c in json.loads(out)["checks"]}["fp-condition"]
+    assert fp["status"] == "FAIL"
+    assert fp["detail"].startswith("status=violated, head=inf, threshold=5.22147e+173")
+
+
+def test_verify_activity_check_at_an_underflowing_q(capsys):
+    # q^{n-1} underflows to 0 at q = 1e-200; the decision is the exact
+    # integer comparison and the display floats saturate.
+    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "5", "--q", "1e-200")
+    assert code == 0
+    activity = {c["name"]: c for c in json.loads(out)["checks"]}["activity-bound"]
+    assert activity["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--a", "800"], "error: a must lie in (0, 709.783)"),
+        (["verify", "--a", "inf"], "error: a must lie in (0, 709.783)"),
+        (["verify", "--q", "inf"], "error: q must be positive and finite"),
+        (["series", "--b", "inf"], "error: level b must be finite and exceed 1"),
+    ],
+    ids=["a-800", "a-inf", "q-inf", "b-inf"],
+)
+def test_extreme_numbers_are_errors_not_tracebacks(capsys, argv, message):
+    code, _, err = run(capsys, *argv, "--family", "cycle", "--n", "5")
+    assert code == 1
+    assert err.startswith(message)
 
 
 def test_series_degree_mode(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -318,6 +319,18 @@ def test_cn_bound_triangle_equalities():
     assert rep.holds and rep.lhs_scaled == 0
 
 
+def test_activity_floats_saturate_where_q_powers_leave_the_float_range():
+    k3 = generate_graph("complete", n=3)
+    tiny = verify_cn_bound(k3, 3, 1e-200)
+    assert tiny.holds and tiny.lhs == tiny.rhs == math.inf
+    huge = verify_cn_bound(k3, 3, 1e200)
+    assert huge.holds and huge.lhs == huge.rhs == 0.0
+    assert cq_norm(k3, 3, 1e300) == 0.0
+    # e^{1+a} overflows, yet e^{1+a} * Delta / q is finite
+    rep = check_fp_condition(k3, 1e300, 709.0, 8)
+    assert rep.geometric_ratio == pytest.approx(2.0 * math.exp(710.0 - 300.0 * math.log(10.0)))
+
+
 def test_cn_bound_random_graphs():
     rng = random.Random(5)
     for _ in range(10):
@@ -355,6 +368,11 @@ def test_fp_condition_validation_and_json():
         check_fp_condition(k3, 11.0, -1.0, 16)
     with pytest.raises(ValueError):
         check_fp_condition(k3, 11.0, 0.5, 1)
+    for q, a in ((math.inf, 0.5), (math.nan, 0.5), (11.0, math.inf), (11.0, 710.0)):
+        with pytest.raises(ValueError):
+            check_fp_condition(k3, q, a, 16)
+    with pytest.raises(ValueError):
+        verify_cn_bound(k3, 2, math.inf)
     data = check_fp_condition(k3, 11.0, 0.597, 64).to_json()
     jsonschema.validate(data, FP_REPORT_SCHEMA)
     assert data["status"] == "satisfied"

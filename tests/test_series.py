@@ -149,7 +149,8 @@ def test_sup_x_threshold():
     x = sup_x_threshold(2.0, z, zt)
     root = math.sqrt(2.0) - 1.0
     assert x == pytest.approx(root / (1.0 + root), abs=1e-10)
-    with pytest.raises(ValueError):
-        sup_x_threshold(1.0, z, zt)
+    for b in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sup_x_threshold(b, z, zt)
     with pytest.raises(ValueError):
         sup_x_threshold(2.0, IntPolynomial([1]), zt)
