@@ -44,18 +44,14 @@ from .polymer import (
     FpConditionReport,
     Monomer,
     PenroseReport,
-    RootedSpanningTree,
     activity,
     activity_exact,
     check_fp_condition,
-    classify_tree,
     cq_norm,
     cq_norm_scaled,
     enumerate_monomers,
-    enumerate_spanning_trees,
     hardcore_partition,
     penrose_report,
-    signed_connected_sum,
     spanning_tree_count,
     verify_cn_bound,
 )
@@ -88,7 +84,6 @@ __all__ = [
     "PenroseReport",
     "ResourceLimitError",
     "RootSet",
-    "RootedSpanningTree",
     "TruncatedSeries",
     "X",
     "activity",
@@ -97,7 +92,6 @@ __all__ = [
     "canonical_form",
     "check_fp_condition",
     "chromatic_polynomial",
-    "classify_tree",
     "complete_graph_bound",
     "connected_graphs",
     "constants",
@@ -112,7 +106,6 @@ __all__ = [
     "cstar_graph_series",
     "enumerate_connected_subsets",
     "enumerate_monomers",
-    "enumerate_spanning_trees",
     "fp_parameters",
     "generate_graph",
     "graph_id",
@@ -125,7 +118,6 @@ __all__ = [
     "polynomial_roots",
     "roots_inside",
     "series_radius",
-    "signed_connected_sum",
     "sokal_bound",
     "solve_tree_series",
     "spanning_tree_count",

@@ -4,8 +4,9 @@ The polynomial engine is deletion-contraction with memoization keyed by
 a canonical graph form, plus base cases (edgeless, tree, cycle, complete
 graph, and multiplicativity over components) that prune the recursion to
 desk-scale cost. The oracle counts proper colorings by enumerating every
-assignment of q colors to n vertices, so the two agree only if both are
-right; that cross-check is the backbone of the test suite.
+assignment of q colors to n vertices, up to q^n = 2^20, with one bit
+table per vertex pair, so the two agree only if both are right; that
+cross-check is the backbone of the test suite.
 """
 
 from __future__ import annotations
@@ -115,46 +116,34 @@ def _contracted(masks: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
 # Exhaustive coloring oracle
 # ---------------------------------------------------------------------------
 
-_TABLE_BIT_LIMIT = 1 << 20      # largest q^n kept as precomputed edge masks
-_CHUNK = 1 << 20                # assignments per numpy chunk beyond that
+_TABLE_BIT_LIMIT = 1 << 20      # largest q^n enumerated, one bit per assignment
 
 
-def count_proper_colorings(
-    g: Graph,
-    q: int,
-    *,
-    max_vertices: int = 10,
-    max_colors: int = 6,
-) -> int:
+def count_proper_colorings(g: Graph, q: int) -> int:
     """Count proper colorings of g with q colors by full enumeration.
 
-    All q^n color assignments are examined (vectorized over numpy bit
-    tables), so this is exact and independent of the polynomial engine.
-    numpy is imported on the first call, not with the package.
+    All q^n color assignments are examined as bits of one precomputed
+    table per vertex pair, so this is exact and independent of the
+    polynomial engine. q^n is capped at 2^20, and numpy, which builds
+    the tables, is imported on the first call, not with the package.
     """
     if q < 0:
         raise ValueError("color count must be non-negative")
-    if g.n == 0:
-        return 1
-    if g.n > max_vertices or q > max_colors:
-        raise ResourceLimitError(
-            f"coloring enumeration capped at {max_vertices} vertices and {max_colors} colors"
-        )
-    if q == 0:
-        return 0
-    if not g.edges:
-        return q ** g.n
-    if q == 1:
-        return 0
     total = q ** g.n
-    if total <= _TABLE_BIT_LIMIT:
-        pair_masks = _edge_bit_masks(q, g.n)
-        edges = sorted(g.edges)
-        acc = pair_masks[edges[0]]
-        for e in edges[1:]:
-            acc &= pair_masks[e]
-        return acc.bit_count()
-    return _count_chunked(g, q, total)
+    if total > _TABLE_BIT_LIMIT:
+        raise ResourceLimitError(
+            f"coloring enumeration capped at q^n = {_TABLE_BIT_LIMIT} assignments"
+        )
+    if not g.edges:
+        return total
+    if q < 2:
+        return 0
+    pair_masks = _edge_bit_masks(q, g.n)
+    edges = sorted(g.edges)
+    acc = pair_masks[edges[0]]
+    for e in edges[1:]:
+        acc &= pair_masks[e]
+    return acc.bit_count()
 
 
 @lru_cache(maxsize=32)
@@ -168,7 +157,8 @@ def _edge_bit_masks(q: int, n: int) -> dict[tuple[int, int], int]:
     import numpy as np
 
     idx = np.arange(q ** n, dtype=np.int64)
-    cols = [((idx // q ** j) % q).astype(np.uint8) for j in range(n)]
+    color = np.min_scalar_type(q - 1)
+    cols = [((idx // q ** j) % q).astype(color) for j in range(n)]
     out = {}
     for u in range(n):
         for v in range(u + 1, n):
@@ -176,16 +166,3 @@ def _edge_bit_masks(q: int, n: int) -> dict[tuple[int, int], int]:
             out[(u, v)] = int.from_bytes(diff.tobytes(), "big")
     return out
 
-
-def _count_chunked(g: Graph, q: int, total: int) -> int:
-    import numpy as np
-
-    edges = sorted(g.edges)
-    count = 0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        ok = np.ones(idx.shape, dtype=bool)
-        for u, v in edges:
-            ok &= ((idx // q ** u) % q) != ((idx // q ** v) % q)
-        count += int(np.count_nonzero(ok))
-    return count

@@ -5,7 +5,10 @@ interior of their domains but blow up at one or both endpoints, so the
 minimizer brackets the minimum between the neighbours of the least of
 32 evenly spaced interior samples and then sharpens that bracket by
 golden-section search to the requested tolerance. Exceptions and NaNs
-from the objective are treated as +inf rather than propagated.
+from the objective are treated as +inf rather than propagated. The root
+finder brackets by doubling a unit step, with no limit on the number of
+doublings short of an infinite step, and then bisects to a fixed
+relative tolerance of 1e-12.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from typing import Callable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200
+_GRID_POINTS = 32
+_BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,18 +47,15 @@ def minimize_scalar(
     lo: float,
     hi: float,
     *,
-    grid_points: int = 32,
     tol: float = 1e-10,
 ) -> OptimizationResult:
     """Minimize f over the open interval (lo, hi).
 
-    ``grid_points`` evenly spaced samples bracket the minimum; a narrow
-    well between two samples needs a finer grid.
+    32 evenly spaced samples bracket the minimum, so a well narrower
+    than the sample spacing can be missed.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if grid_points < 3:
-        raise ValueError("need at least 3 grid points")
     evals = 0
 
     def g(x: float) -> float:
@@ -65,13 +67,13 @@ def minimize_scalar(
             return math.inf
         return math.inf if math.isnan(v) else v
 
-    xs = [lo + (hi - lo) * (i + 0.5) / grid_points for i in range(grid_points)]
+    xs = [lo + (hi - lo) * (i + 0.5) / _GRID_POINTS for i in range(_GRID_POINTS)]
     vals = [g(x) for x in xs]
-    k = min(range(grid_points), key=vals.__getitem__)
+    k = min(range(_GRID_POINTS), key=vals.__getitem__)
     if math.isinf(vals[k]):
         raise ValueError("objective has no finite value on the interval")
     a = xs[k - 1] if k > 0 else lo
-    b = xs[k + 1] if k < grid_points - 1 else hi
+    b = xs[k + 1] if k < _GRID_POINTS - 1 else hi
 
     # golden-section contraction of [a, b]
     c = b - _INVPHI * (b - a)
@@ -101,36 +103,26 @@ def minimize_scalar(
     )
 
 
-def bisect_increasing(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float | None = None,
-    *,
-    tol: float = 1e-12,
-    max_doublings: int = 200,
-) -> float:
+def bisect_increasing(f: Callable[[float], float], target: float, lo: float) -> float:
     """Solve f(x) = target for increasing f, starting from f(lo) <= target.
 
-    When ``hi`` is omitted, the upper end is found by doubling a unit
-    step until f exceeds the target.
+    The upper end is found by doubling a unit step until f reaches the
+    target; ``ValueError`` is raised if the step becomes infinite first.
     """
     if f(lo) > target:
         raise ValueError("f(lo) already exceeds the target")
-    if hi is None:
-        step = 1.0
+    step = 1.0
+    hi = lo + step
+    while not f(hi) >= target:
+        step *= 2.0
         hi = lo + step
-        for _ in range(max_doublings):
-            if f(hi) >= target:
-                break
-            step *= 2.0
-            hi = lo + step
-        else:
-            raise ValueError("could not bracket the target by doubling")
-    elif f(hi) < target:
-        raise ValueError("f(hi) is below the target")
+        if math.isinf(hi):
+            raise ValueError(
+                f"could not bracket the target {target!r}: f stays below it "
+                "at every doubled step in the float range"
+            )
 
-    while hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
+    while hi - lo > _BISECT_TOL * (1.0 + abs(lo) + abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

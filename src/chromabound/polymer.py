@@ -5,15 +5,13 @@ subgraph; its activity at parameter q is S / q^(k-1), where k is its
 size and S is the signed sum over connected spanning subgraphs of the
 induced graph. Every S the module uses is the linear coefficient of the
 induced graph's coloring polynomial, taken from the deletion-contraction
-engine; ``signed_connected_sum`` enumerates edge subsets instead and
-serves only as an oracle against it. The module counts the rooted
-spanning trees that meet the generation conditions under which the
-signed sum collapses to a single count, by subset DPs over layerings
-and sibling-free forests; ``enumerate_spanning_trees`` and
-``classify_tree`` build and sort every tree and serve as the tests'
-oracle for those counts. It also evaluates the exact hard-core
-partition function and checks the fixed-point convergence inequality
-with a certified geometric tail.
+engine. The module counts the rooted spanning trees that meet the
+generation conditions under which the signed sum collapses to a single
+count, by subset DPs over layerings and sibling-free forests. It also
+evaluates the exact hard-core partition function and checks the
+fixed-point convergence inequality with a certified geometric tail.
+The tests hold S and both tree counts to brute-force oracles of their
+own: an edge-subset enumeration and a census of every spanning tree.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .graphs import (
 )
 from .series import solve_tree_series
 
-_SIGNED_SUM_EDGE_CAP = 24
 _DP_STATE_CAP = 500_000
 _PARTITION_VERTEX_CAP = 8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -52,49 +49,6 @@ _CHROM_CACHE_CAP = 10_000
 # ---------------------------------------------------------------------------
 # Signed connected-subgraph sums and monomer activities
 # ---------------------------------------------------------------------------
-
-def signed_connected_sum(g: Graph, *, max_edges: int = _SIGNED_SUM_EDGE_CAP) -> int:
-    """Sum of (-1)^{|E'|} over connected spanning subgraphs (V, E') of g.
-
-    Enumerated directly over edge subsets with connectivity pruning, so
-    it is independent of the polynomial engine and usable as an oracle
-    against it.
-    """
-    if g.n == 0:
-        raise ValueError("signed sum needs at least one vertex")
-    if not g.is_connected():
-        raise ValueError("signed sum is defined for connected graphs only")
-    if g.m > max_edges:
-        raise ResourceLimitError(
-            f"graph has {g.m} edges, exceeding the enumeration cap of {max_edges}"
-        )
-    edges = sorted(g.edges)
-    n, m = g.n, len(edges)
-
-    def spans(chosen_masks: list[int], i: int) -> bool:
-        masks = list(chosen_masks)
-        for u, v in edges[i:]:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return len(_components_masks(tuple(masks))) == 1
-
-    total = 0
-    stack = [(0, [0] * n, 0)]
-    while stack:
-        i, masks, count = stack.pop()
-        if not spans(masks, i):
-            continue
-        if i == m:
-            total += -1 if count % 2 else 1
-            continue
-        u, v = edges[i]
-        with_e = list(masks)
-        with_e[u] |= 1 << v
-        with_e[v] |= 1 << u
-        stack.append((i + 1, masks, count))
-        stack.append((i + 1, with_e, count + 1))
-    return total
-
 
 def _s_value_induced(masks: tuple[int, ...], sub_mask: int) -> int:
     """S of the induced subgraph, via the linear coefficient of its
@@ -149,13 +103,9 @@ def activity(g: Graph, m: Monomer, q):
     return s / q ** power
 
 
-def enumerate_monomers(
-    g: Graph, *, min_size: int = 2, max_size: int | None = None
-) -> Iterator[Monomer]:
+def enumerate_monomers(g: Graph) -> Iterator[Monomer]:
     """All monomers of g, each exactly once."""
-    if max_size is None:
-        max_size = g.n
-    for mask in _all_connected_masks(g.adjacency_masks, max(2, min_size), max_size):
+    for mask in _all_connected_masks(g.adjacency_masks, 2, g.n):
         yield Monomer(_mask_bits(mask))
 
 
@@ -170,142 +120,8 @@ def _all_connected_masks(
 
 
 # ---------------------------------------------------------------------------
-# Rooted spanning trees and generation conditions
+# Penrose and weakly Penrose trees
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RootedSpanningTree:
-    """A spanning tree of ``host`` rooted at vertex 0.
-
-    ``parent`` maps every non-root vertex to its predecessor and
-    ``depth`` gives the generation number, 0 at the root.
-    """
-
-    host: Graph
-    parent: dict[int, int]
-    depth: dict[int, int]
-    root: int = 0
-
-    def __post_init__(self):
-        n = self.host.n
-        if not 0 <= self.root < n:
-            raise ValueError("root out of range")
-        if set(self.parent) != set(range(n)) - {self.root}:
-            raise ValueError("parent map must cover exactly the non-root vertices")
-        if self.depth.get(self.root) != 0:
-            raise ValueError("root must have depth 0")
-        for v, p in self.parent.items():
-            if not self.host.has_edge(v, p):
-                raise ValueError(f"tree edge {{{v}, {p}}} is not a host edge")
-            if self.depth.get(v) != self.depth.get(p, -2) + 1:
-                raise ValueError("depth must increase by 1 along parent links")
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (min(v, p), max(v, p)) for v, p in self.parent.items()
-        )
-
-
-def enumerate_spanning_trees(g: Graph) -> Iterator[RootedSpanningTree]:
-    """Every spanning tree of g exactly once, rooted at vertex 0.
-
-    Edge-by-edge inclusion/exclusion: an edge is included only when it
-    joins two current components, and a branch is abandoned as soon as
-    the chosen plus remaining edges can no longer connect the graph.
-    """
-    if g.n == 0:
-        raise ValueError("spanning trees need at least one vertex")
-    if not g.is_connected():
-        raise ValueError("spanning trees exist only for connected graphs")
-    edges = sorted(g.edges)
-    n, m = g.n, len(edges)
-
-    def feasible(parents: list[int], i: int) -> bool:
-        scratch = list(parents)
-        comps = len({_find(scratch, v) for v in range(n)})
-        for u, v in edges[i:]:
-            ru, rv = _find(scratch, u), _find(scratch, v)
-            if ru != rv:
-                scratch[ru] = rv
-                comps -= 1
-        return comps == 1
-
-    def rec(i: int, parents: list[int], chosen: list[tuple[int, int]]):
-        if len(chosen) == n - 1:
-            yield _root_tree(g, chosen)
-            return
-        if i == m or not feasible(parents, i):
-            return
-        u, v = edges[i]
-        ru, rv = _find(parents, u), _find(parents, v)
-        if ru != rv:
-            merged = list(parents)
-            merged[ru] = rv
-            yield from rec(i + 1, merged, chosen + [(u, v)])
-        yield from rec(i + 1, parents, chosen)
-
-    yield from rec(0, list(range(n)), [])
-
-
-def _find(parents: list[int], x: int) -> int:
-    """Root of x in a union-find forest, halving the path on the way up
-    (this only shortens paths, so the sets stay as they were)."""
-    while parents[x] != x:
-        parents[x] = parents[parents[x]]
-        x = parents[x]
-    return x
-
-
-def _root_tree(g: Graph, tree_edges: list[tuple[int, int]]) -> RootedSpanningTree:
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for u, v in tree_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: dict[int, int] = {}
-    depth = {0: 0}
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for w in adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                queue.append(w)
-    return RootedSpanningTree(host=g, parent=parent, depth=depth)
-
-
-def classify_tree(t: RootedSpanningTree) -> str:
-    """Sort a rooted spanning tree into one of three buckets.
-
-    "penrose": no host edge joins equal-depth vertices, and no host
-    edge {i, j} has depth(j) = depth(i) - 1 with j > parent(i).
-    "weakly-penrose-only": not that, but no host edge joins two
-    children of a common parent. "neither": some host edge does.
-    """
-    tree_edges = t.edges
-    depth, parent = t.depth, t.parent
-    same_gen_ok = True
-    cross_gen_ok = True
-    sibling_ok = True
-    for i, j in t.host.edges:
-        if (i, j) in tree_edges:
-            continue
-        di, dj = depth[i], depth[j]
-        if di == dj:
-            same_gen_ok = False
-            if parent.get(i) == parent.get(j):
-                sibling_ok = False
-        elif dj == di - 1 and j > parent[i]:
-            cross_gen_ok = False
-        elif di == dj - 1 and i > parent[j]:
-            cross_gen_ok = False
-    if same_gen_ok and cross_gen_ok:
-        return "penrose"
-    if sibling_ok:
-        return "weakly-penrose-only"
-    return "neither"
-
 
 @dataclass(frozen=True)
 class PenroseReport:
@@ -320,14 +136,6 @@ class PenroseReport:
         if not 0 <= self.penrose_count <= self.weak_penrose_count <= self.tree_count:
             raise ValueError("tree counts must be ordered and non-negative")
 
-    def to_json(self) -> dict:
-        return {
-            "s_value": str(self.s_value),
-            "tree_count": str(self.tree_count),
-            "penrose_count": str(self.penrose_count),
-            "weak_penrose_count": str(self.weak_penrose_count),
-        }
-
 
 def penrose_report(g: Graph) -> PenroseReport:
     """Count spanning trees by class and set them against the signed sum.
@@ -336,9 +144,7 @@ def penrose_report(g: Graph) -> PenroseReport:
     deletion-contraction engine. The three counts come from elsewhere:
     ``tree_count`` is Kirchhoff's count, ``penrose_count`` the layering
     DP and ``weak_penrose_count`` the sibling DP, so the collapse
-    identity compares independent computations. The tests hold both DPs
-    to the census of ``enumerate_spanning_trees`` and ``classify_tree``,
-    and the engine's S to ``signed_connected_sum``.
+    identity compares independent computations.
 
     Each DP visits at most 500000 states and raises
     ``ResourceLimitError`` beyond that.
@@ -368,7 +174,9 @@ def _state_cap_error(dp: str) -> ResourceLimitError:
 def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
     """Number of Penrose trees rooted at vertex 0.
 
-    By ``classify_tree`` a Penrose tree is fixed by its generations
+    In a Penrose tree no host edge joins two vertices of one generation,
+    and no host edge joins a vertex i to a vertex j of the generation
+    before with j > parent(i). Such a tree is fixed by its generations
     L0 = {0}, L1, ...: each is an independent set, every vertex has a
     neighbour in the generation before (its parent is the largest one),
     and any such layering gives a Penrose tree. ``count(rest, cand)``
@@ -505,9 +313,7 @@ def spanning_tree_count(g: Graph) -> int:
 # Exact partition function
 # ---------------------------------------------------------------------------
 
-def hardcore_partition(
-    g: Graph, q, *, max_vertices: int = _PARTITION_VERTEX_CAP
-) -> Fraction:
+def hardcore_partition(g: Graph, q) -> Fraction:
     """The hard-core partition function of the monomer gas, exactly.
 
     Sum over all collections of pairwise-disjoint monomers of the
@@ -520,9 +326,9 @@ def hardcore_partition(
     q = Fraction(q)
     if q == 0:
         raise ValueError("partition function is undefined at q = 0")
-    if g.n > max_vertices:
+    if g.n > _PARTITION_VERTEX_CAP:
         raise ResourceLimitError(
-            f"graph has {g.n} vertices, exceeding the cap of {max_vertices}"
+            f"graph has {g.n} vertices, exceeding the cap of {_PARTITION_VERTEX_CAP}"
         )
     masks = g.adjacency_masks
     activities: dict[int, Fraction] = {}
@@ -607,15 +413,6 @@ class CnBoundReport:
     lhs_scaled: int
     rhs_scaled: int
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "lhs_scaled": str(self.lhs_scaled),
-            "rhs_scaled": str(self.rhs_scaled),
-        }
-
 
 def verify_cn_bound(g: Graph, n: int, q: float) -> CnBoundReport:
     """Check that the size-n activity norm is at most q^{-(n-1)} t_n.
@@ -662,18 +459,6 @@ class FpConditionReport:
     order: int
     q: float
     a: float
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "head": self.head,
-            "tail_bound": self.tail_bound,
-            "threshold": self.threshold,
-            "geometric_ratio": self.geometric_ratio,
-            "order": str(self.order),
-            "q": self.q,
-            "a": self.a,
-        }
 
 
 def check_fp_condition(g: Graph, q: float, a: float, order: int) -> FpConditionReport:

@@ -131,10 +131,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def to_json(self) -> list[str]:
-        """Coefficients ascending, as decimal strings (precision-safe)."""
-        return [str(c) for c in self.coefficients]
-
 
 X = IntPolynomial([0, 1])
 ONE = IntPolynomial([1])

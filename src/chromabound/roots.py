@@ -56,13 +56,6 @@ class RootSet:
         if len(self.roots) != len(self.residuals):
             raise ValueError("roots and residuals must align")
 
-    def to_json(self) -> dict:
-        return {
-            "roots": [[z.real, z.imag] for z in self.roots],
-            "residuals": list(self.residuals),
-            "max_modulus": self.max_modulus,
-        }
-
 
 def roots_inside(p: IntPolynomial, radius) -> bool:
     """True exactly when every root of p lies in |q| < radius, a rational

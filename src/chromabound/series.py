@@ -50,12 +50,6 @@ class TruncatedSeries:
             acc = (acc + c) * x
         return acc
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coefficients": [str(c) for c in self.coefficients],
-        }
-
 
 def _check_profile_poly(p: IntPolynomial, name: str) -> None:
     if not p.coefficients or p.coefficients[0] != 1:

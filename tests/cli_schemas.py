@@ -1,13 +1,13 @@
-"""JSON schemas for the serialized report objects.
+"""JSON schemas for the output of the command line.
 
 Exact integers travel as decimal strings so arbitrary precision
 survives a round-trip; optimized bound values are native floats. The
-test suite validates emitted JSON against these schemas.
+tests validate the JSON of ``bounds``, ``verify``, ``series`` and
+``table``, and ``BoundReport.to_json``, against these schemas.
 """
 
 from __future__ import annotations
 
-_INT_STRING = {"type": "string", "pattern": "^-?[0-9]+$"}
 _COUNT_STRING = {"type": "string", "pattern": "^[0-9]+$"}
 
 PROFILE_SCHEMA = {
@@ -45,43 +45,6 @@ BOUND_REPORT_SCHEMA = {
         "c_star_graph_series": {"type": ["number", "null"]},
         "max_root_modulus": {"type": ["number", "null"]},
         "zero_free_verified": {"type": "boolean"},
-    },
-}
-
-PENROSE_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["s_value", "tree_count", "penrose_count", "weak_penrose_count"],
-    "additionalProperties": False,
-    "properties": {
-        "s_value": _INT_STRING,
-        "tree_count": _COUNT_STRING,
-        "penrose_count": _COUNT_STRING,
-        "weak_penrose_count": _COUNT_STRING,
-    },
-}
-
-FP_REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "status",
-        "head",
-        "tail_bound",
-        "threshold",
-        "geometric_ratio",
-        "order",
-        "q",
-        "a",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "status": {"enum": ["satisfied", "violated", "inconclusive"]},
-        "head": {"type": "number"},
-        "tail_bound": {"type": ["number", "null"]},
-        "threshold": {"type": "number"},
-        "geometric_ratio": {"type": "number"},
-        "order": _COUNT_STRING,
-        "q": {"type": "number"},
-        "a": {"type": "number"},
     },
 }
 

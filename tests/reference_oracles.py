@@ -1,0 +1,209 @@
+"""Brute-force oracles that the tests hold chromabound's engines to.
+
+``signed_connected_sum`` enumerates edge subsets for the signed sum S
+that the polymer module takes from the chromatic engine's linear
+coefficient. ``enumerate_spanning_trees`` and ``classify_tree`` build
+and sort every rooted spanning tree for the Penrose and weakly Penrose
+counts that ``penrose_report`` takes from its DPs.
+
+The module shares no code with the engines it checks: it reads only the
+vertex count and edge set of the input ``Graph``, and tests
+connectivity with its own union-find.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
+
+from chromabound import Graph
+
+SIGNED_SUM_EDGE_CAP = 24
+
+
+class EnumerationCapError(Exception):
+    """The graph has more edges than the signed-sum enumeration accepts."""
+
+
+def _find(parents: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way up
+    (this only shortens paths, so the sets stay as they were)."""
+    while parents[x] != x:
+        parents[x] = parents[parents[x]]
+        x = parents[x]
+    return x
+
+
+def _component_count(parents: list[int], edges) -> int:
+    """Components of the forest ``parents`` once ``edges`` join it; the
+    forest itself is left as it was."""
+    scratch = list(parents)
+    comps = len({_find(scratch, v) for v in range(len(scratch))})
+    for u, v in edges:
+        ru, rv = _find(scratch, u), _find(scratch, v)
+        if ru != rv:
+            scratch[ru] = rv
+            comps -= 1
+    return comps
+
+
+def _require_connected(g: Graph, what: str) -> list[tuple[int, int]]:
+    """The sorted edges of g, which must be non-empty and connected."""
+    if g.n == 0:
+        raise ValueError(f"{what} needs at least one vertex")
+    edges = sorted(g.edges)
+    if _component_count(list(range(g.n)), edges) != 1:
+        raise ValueError(f"{what} is defined for connected graphs only")
+    return edges
+
+
+# ---------------------------------------------------------------------------
+# Signed connected-subgraph sums
+# ---------------------------------------------------------------------------
+
+def signed_connected_sum(g: Graph) -> int:
+    """Sum of (-1)^{|E'|} over connected spanning subgraphs (V, E') of g.
+
+    Enumerated directly over edge subsets, abandoning a branch as soon as
+    the chosen plus remaining edges can no longer connect the graph.
+    """
+    edges = _require_connected(g, "signed sum")
+    if len(edges) > SIGNED_SUM_EDGE_CAP:
+        raise EnumerationCapError(
+            f"graph has {len(edges)} edges, exceeding the enumeration cap of "
+            f"{SIGNED_SUM_EDGE_CAP}"
+        )
+    n, m = g.n, len(edges)
+    total = 0
+    # (next edge, union-find forest of the chosen edges, chosen count)
+    stack = [(0, list(range(n)), 0)]
+    while stack:
+        i, parents, count = stack.pop()
+        if _component_count(parents, edges[i:]) != 1:
+            continue
+        if i == m:
+            total += -1 if count % 2 else 1
+            continue
+        u, v = edges[i]
+        with_e = list(parents)
+        ru, rv = _find(with_e, u), _find(with_e, v)
+        if ru != rv:
+            with_e[ru] = rv
+        stack.append((i + 1, parents, count))
+        stack.append((i + 1, with_e, count + 1))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Rooted spanning trees and generation conditions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RootedSpanningTree:
+    """A spanning tree of ``host`` rooted at vertex 0.
+
+    ``parent`` maps every non-root vertex to its predecessor and
+    ``depth`` gives the generation number, 0 at the root.
+    """
+
+    host: Graph
+    parent: dict[int, int]
+    depth: dict[int, int]
+    root: int = 0
+
+    def __post_init__(self):
+        n = self.host.n
+        if not 0 <= self.root < n:
+            raise ValueError("root out of range")
+        if set(self.parent) != set(range(n)) - {self.root}:
+            raise ValueError("parent map must cover exactly the non-root vertices")
+        if self.depth.get(self.root) != 0:
+            raise ValueError("root must have depth 0")
+        for v, p in self.parent.items():
+            if (min(v, p), max(v, p)) not in self.host.edges:
+                raise ValueError(f"tree edge {{{v}, {p}}} is not a host edge")
+            if self.depth.get(v) != self.depth.get(p, -2) + 1:
+                raise ValueError("depth must increase by 1 along parent links")
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            (min(v, p), max(v, p)) for v, p in self.parent.items()
+        )
+
+
+def enumerate_spanning_trees(g: Graph) -> Iterator[RootedSpanningTree]:
+    """Every spanning tree of g exactly once, rooted at vertex 0.
+
+    Edge-by-edge inclusion/exclusion: an edge is included only when it
+    joins two current components, and a branch is abandoned as soon as
+    the chosen plus remaining edges can no longer connect the graph.
+    """
+    edges = _require_connected(g, "a spanning tree")
+    n, m = g.n, len(edges)
+
+    def rec(i: int, parents: list[int], chosen: list[tuple[int, int]]):
+        if len(chosen) == n - 1:
+            yield _root_tree(g, chosen)
+            return
+        if i == m or _component_count(parents, edges[i:]) != 1:
+            return
+        u, v = edges[i]
+        ru, rv = _find(parents, u), _find(parents, v)
+        if ru != rv:
+            merged = list(parents)
+            merged[ru] = rv
+            yield from rec(i + 1, merged, chosen + [(u, v)])
+        yield from rec(i + 1, parents, chosen)
+
+    yield from rec(0, list(range(n)), [])
+
+
+def _root_tree(g: Graph, tree_edges: list[tuple[int, int]]) -> RootedSpanningTree:
+    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    for u, v in tree_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent: dict[int, int] = {}
+    depth = {0: 0}
+    queue = [0]
+    while queue:
+        v = queue.pop()
+        for w in adj[v]:
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                parent[w] = v
+                queue.append(w)
+    return RootedSpanningTree(host=g, parent=parent, depth=depth)
+
+
+def classify_tree(t: RootedSpanningTree) -> str:
+    """Sort a rooted spanning tree into one of three buckets.
+
+    "penrose": no host edge joins equal-depth vertices, and no host
+    edge {i, j} has depth(j) = depth(i) - 1 with j > parent(i).
+    "weakly-penrose-only": not that, but no host edge joins two
+    children of a common parent. "neither": some host edge does.
+    """
+    tree_edges = t.edges
+    depth, parent = t.depth, t.parent
+    same_gen_ok = True
+    cross_gen_ok = True
+    sibling_ok = True
+    for i, j in t.host.edges:
+        if (i, j) in tree_edges:
+            continue
+        di, dj = depth[i], depth[j]
+        if di == dj:
+            same_gen_ok = False
+            if parent.get(i) == parent.get(j):
+                sibling_ok = False
+        elif dj == di - 1 and j > parent[i]:
+            cross_gen_ok = False
+        elif di == dj - 1 and i > parent[j]:
+            cross_gen_ok = False
+    if same_gen_ok and cross_gen_ok:
+        return "penrose"
+    if sibling_ok:
+        return "weakly-penrose-only"
+    return "neither"

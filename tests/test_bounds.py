@@ -26,7 +26,7 @@ from chromabound import (
     verify_zero_free,
 )
 from chromabound import bounds
-from chromabound.schemas import BOUND_REPORT_SCHEMA
+from cli_schemas import BOUND_REPORT_SCHEMA
 
 
 def test_degree_bound_values():

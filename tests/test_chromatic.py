@@ -82,18 +82,20 @@ def test_oracle_edge_cases():
 
 
 def test_oracle_caps():
+    # q^n is capped at 2^20 color assignments, whatever n and q are.
     with pytest.raises(ResourceLimitError):
-        count_proper_colorings(generate_graph("path", n=11), 2)
+        count_proper_colorings(generate_graph("path", n=11), 4)
     with pytest.raises(ResourceLimitError):
-        count_proper_colorings(generate_graph("path", n=4), 7)
+        count_proper_colorings(generate_graph("path", n=21), 2)
+    assert count_proper_colorings(generate_graph("path", n=4), 7) == 7 * 6**3
+    assert count_proper_colorings(Graph(2, [(0, 1)]), 1024) == 1024 * 1023
 
 
 def test_oracle_chunked_path_agrees():
-    # 5^10 color assignments exceed the bit-table limit, forcing the
-    # chunked evaluator; the polynomial provides the reference value.
+    # 4^10 = 2^20 color assignments, the largest table the oracle builds;
+    # the polynomial provides the reference value.
     g = generate_graph("cycle", n=10)
-    p = chromatic_polynomial(g)
-    assert count_proper_colorings(g, 5, max_vertices=10, max_colors=6) == p(5)
+    assert count_proper_colorings(g, 4) == chromatic_polynomial(g)(4)
 
 
 def test_larger_named_graphs():

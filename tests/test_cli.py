@@ -7,7 +7,7 @@ import pytest
 from chromabound import bounds, cli
 from chromabound.cli import _build_parser, main
 from chromabound.errors import ConvergenceError, InconclusiveError
-from chromabound.schemas import (
+from cli_schemas import (
     BOUND_REPORT_SCHEMA,
     SERIES_OUTPUT_SCHEMA,
     TABLE_ROW_SCHEMA,
@@ -19,6 +19,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def parse_json(out: str):
+    """A command's JSON output, parsed strictly: ``json.loads`` alone
+    accepts NaN, Infinity and -Infinity."""
+    return json.loads(out, parse_constant=_not_json)
 
 
 def test_table_default_csv(capsys):
@@ -34,7 +44,7 @@ def test_table_default_csv(capsys):
 def test_table_json_validates(capsys):
     code, out, _ = run(capsys, "table", "--format", "json")
     assert code == 0
-    rows = json.loads(out)
+    rows = parse_json(out)
     assert len(rows) == 5
     for row in rows:
         jsonschema.validate(row, TABLE_ROW_SCHEMA)
@@ -57,7 +67,7 @@ def test_format_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CHROMABOUND_FORMAT", "json")
     code, out, _ = run(capsys, "table")
     assert code == 0
-    assert isinstance(json.loads(out), list)
+    assert isinstance(parse_json(out), list)
     monkeypatch.setenv("CHROMABOUND_FORMAT", "yaml")
     with pytest.raises(SystemExit):
         main(["table"])
@@ -74,7 +84,7 @@ def test_explicit_format_beats_env(capsys, monkeypatch):
 def test_bounds_degree_only(capsys):
     code, out, _ = run(capsys, "bounds", "--delta", "4")
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     assert payload["delta"] == 4
     assert payload["c_sokal_rounded"] == "29.08"
     assert payload["c_star_delta_rounded"] == "24.44"
@@ -83,7 +93,7 @@ def test_bounds_degree_only(capsys):
 def test_bounds_family(capsys):
     code, out, _ = run(capsys, "bounds", "--family", "petersen")
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     jsonschema.validate(payload, BOUND_REPORT_SCHEMA)
     assert payload["graph_id"] == "petersen"
     assert payload["delta"] == 3
@@ -95,7 +105,7 @@ def test_bounds_with_series_column(capsys):
         capsys, "bounds", "--family", "complete", "--n", "3", "--order", "48"
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     assert payload["c_star_graph_series"] == pytest.approx(
         payload["c_star_graph"], rel=1e-10
     )
@@ -116,7 +126,7 @@ def test_bounds_from_dimacs_file(capsys, tmp_path):
     path.write_text("c four cycle\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
     code, out, _ = run(capsys, "bounds", "--graph", str(path))
     assert code == 0
-    assert json.loads(out)["delta"] == 2
+    assert parse_json(out)["delta"] == 2
 
 
 def test_bounds_requires_source_or_delta(capsys):
@@ -140,7 +150,7 @@ def test_unknown_family_is_reported(capsys):
 def test_verify_petersen(capsys):
     code, out, _ = run(capsys, "verify", "--family", "petersen")
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
     assert payload["ok"] is True
     by_name = {c["name"]: c["status"] for c in payload["checks"]}
@@ -153,7 +163,7 @@ def test_verify_petersen(capsys):
 def test_verify_small_graph_all_checks_run(capsys):
     code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "5")
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert set(statuses.values()) == {"PASS"}
 
@@ -163,7 +173,7 @@ def test_verify_disconnected_graph_skips_penrose(capsys, tmp_path):
     path.write_text("4 2\n0 1\n2 3\n")
     code, out, _ = run(capsys, "verify", "--graph", str(path))
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert statuses.pop("penrose-identity") == "SKIP"
@@ -173,7 +183,7 @@ def test_verify_disconnected_graph_skips_penrose(capsys, tmp_path):
 def test_verify_complete_10_passes_penrose_identity(capsys):
     code, out, _ = run(capsys, "verify", "--family", "complete", "--n", "10")
     assert code == 0
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    checks = {c["name"]: c for c in parse_json(out)["checks"]}
     assert checks["penrose-identity"] == {
         "name": "penrose-identity",
         "status": "PASS",
@@ -187,7 +197,7 @@ def test_verify_polynomial_cap_skips_zero_free(capsys):
         capsys, "verify", "--family", "cycle", "--n", "12", "--max-vertices", "10"
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
     assert payload["ok"] is True
     checks = {c["name"]: c for c in payload["checks"]}
@@ -210,7 +220,7 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_zero_free", fail)
         code, out, _ = run(capsys, "verify", "--family", "petersen")
         assert code == 1
-        payload = json.loads(out)
+        payload = parse_json(out)
         assert payload["ok"] is False
         checks = {c["name"]: c for c in payload["checks"]}
         assert checks["zero-free"] == {"name": "zero-free", "status": "FAIL", "detail": str(error)}
@@ -227,7 +237,7 @@ def test_bounds_order_computes_the_profile_once(capsys, monkeypatch):
     monkeypatch.setattr(bounds, "neighborhood_profile", counted)
     code, out, _ = run(capsys, "bounds", "--family", "petersen", "--order", "64")
     assert code == 0
-    assert json.loads(out)["c_star_graph_series"] is not None
+    assert parse_json(out)["c_star_graph_series"] is not None
     assert len(calls) == 1
 
 
@@ -246,7 +256,7 @@ def test_verify_with_fp_check(capsys):
         "--q", "11.0", "--a", "0.597", "--order", "64",
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert statuses["fp-condition"] == "PASS"
 
@@ -266,9 +276,11 @@ def test_verify_fp_check_rejects_order_below_two(capsys, order):
 def test_verify_fp_check_sums_an_overflowing_head_in_logarithms(capsys):
     # e^{2a} overflows a float at a = 400; the head's terms are summed in
     # logarithms and reach inf, past the finite threshold e^a - 1.
-    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "5", "--a", "400")
+    code, out, _ = run(
+        capsys, "verify", "--family", "cycle", "--n", "5", "--a", "400", "--format", "json"
+    )
     assert code == 1
-    fp = {c["name"]: c for c in json.loads(out)["checks"]}["fp-condition"]
+    fp = {c["name"]: c for c in parse_json(out)["checks"]}["fp-condition"]
     assert fp["status"] == "FAIL"
     assert fp["detail"].startswith("status=violated, head=inf, threshold=5.22147e+173")
 
@@ -278,7 +290,7 @@ def test_verify_activity_check_at_an_underflowing_q(capsys):
     # integer comparison and the display floats saturate.
     code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "5", "--q", "1e-200")
     assert code == 0
-    activity = {c["name"]: c for c in json.loads(out)["checks"]}["activity-bound"]
+    activity = {c["name"]: c for c in parse_json(out)["checks"]}["activity-bound"]
     assert activity["status"] == "PASS"
 
 
@@ -298,10 +310,24 @@ def test_extreme_numbers_are_errors_not_tracebacks(capsys, argv, message):
     assert err.startswith(message)
 
 
+def test_strict_parse_rejects_non_finite_constants():
+    with pytest.raises(ValueError, match="Infinity is not JSON"):
+        parse_json('{"head": Infinity}')
+
+
+def test_series_threshold_near_the_top_of_the_float_range(capsys):
+    # z = (1 + u)^3 reaches 1e308 only past u = 2^340, beyond any fixed
+    # number of doublings that an earlier bracket search allowed
+    code, out, err = run(capsys, "series", "--family", "petersen", "--b", "1e308")
+    assert (code, err) == (0, "")
+    u = 1e308 ** (1 / 3)
+    assert parse_json(out)["threshold_x"] == pytest.approx(u / (1 + u) ** 2, rel=1e-9)
+
+
 def test_series_degree_mode(capsys):
     code, out, _ = run(capsys, "series", "--delta", "3", "--order", "6")
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     jsonschema.validate(payload, SERIES_OUTPUT_SCHEMA)
     assert payload["coefficients"] == ["1", "3", "9", "28", "90", "297"]
     # Growth is governed by the child series, whose profile is the
@@ -314,7 +340,7 @@ def test_series_with_threshold(capsys):
         capsys, "series", "--delta", "2", "--order", "5", "--b", "2.0"
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     assert payload["threshold_x"] == pytest.approx(1.0 - 2.0**-0.5, abs=1e-9)
 
 

@@ -165,14 +165,6 @@ def test_unreachable_tolerance_reports_partial_result():
     assert len(err.residuals) == 4
 
 
-def test_root_set_json():
-    p = chromatic_polynomial(generate_graph("complete", n=3))
-    data = polynomial_roots(p).to_json()
-    assert len(data["roots"]) == 3
-    assert all(len(pair) == 2 for pair in data["roots"])
-    assert isinstance(data["max_modulus"], float)
-
-
 def test_petersen_largest_root():
     p = chromatic_polynomial(generate_graph("petersen"))
     rs = polynomial_roots(p)
