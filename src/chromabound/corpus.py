@@ -92,10 +92,7 @@ def _build_level(n: int) -> tuple[Graph, ...]:
             ) + (subset,)
             if _new_vertex_is_maximal(masks, pieces):
                 seen.setdefault(canonical_form(Graph.from_masks(masks)), None)
-    level = tuple(
-        Graph.from_masks(masks)
-        for masks in sorted(seen, key=lambda masks: (_mask_edge_count(masks), masks))
-    )
+    level = tuple(sorted(map(Graph.from_masks, seen), key=lambda g: (g.m, g.adjacency_masks)))
     expected = _KNOWN_COUNTS.get(n)
     if expected is not None and len(level) != expected:
         raise AssertionError(
@@ -135,10 +132,6 @@ def _new_vertex_is_maximal(masks: tuple[int, ...], pieces: list[list[int]]) -> b
         if all(masks[new] & piece for piece in pieces[v]):
             return False
     return True
-
-
-def _mask_edge_count(masks: tuple[int, ...]) -> int:
-    return sum(m.bit_count() for m in masks) // 2
 
 
 def corpus_graphs(max_n: int):

@@ -23,46 +23,61 @@ from .polynomial import IntPolynomial
 
 
 class Graph:
-    """Immutable simple graph on vertex set {0, ..., n-1}."""
+    """Immutable simple graph on vertex set {0, ..., n-1}. Its only state is
+    ``adjacency_masks`` (bit u of mask v set iff u ~ v); ``n``, ``m`` and
+    ``edges`` are read from it on each access."""
 
-    __slots__ = ("n", "edges", "_masks")
+    __slots__ = ("adjacency_masks",)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "_masks", None)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "adjacency_masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    @property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            object.__setattr__(self, "_masks", tuple(masks))
-        return self._masks
-
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Graph":
+        """The graph with adjacency ``masks``: symmetric, loop-free, bits below len(masks)."""
         masks = tuple(masks)
-        edges = [(v, u) for v, m in enumerate(masks) for u in _mask_bits(m) if u > v]
-        return cls(len(masks), edges)
+        n = len(masks)
+        for v, m in enumerate(masks):
+            if m >> n:
+                raise ValueError(f"mask of vertex {v} has a bit outside 0..{n - 1}")
+            if m >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            while m:
+                u = (m & -m).bit_length() - 1
+                if not masks[u] >> v & 1:
+                    raise ValueError(f"vertex {v} has neighbor {u}, but {u} lacks {v}")
+                m &= m - 1
+        g = object.__new__(cls)
+        object.__setattr__(g, "adjacency_masks", masks)
+        return g
+
+    @property
+    def n(self) -> int:
+        return len(self.adjacency_masks)
+
+    @property
+    def m(self) -> int:
+        return sum(m.bit_count() for m in self.adjacency_masks) // 2
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (u, v) with u < v."""
+        return frozenset(
+            (v, u) for v, m in enumerate(self.adjacency_masks) for u in _mask_bits(m) if u > v
+        )
 
     def neighbors(self, v: int) -> frozenset:
         return frozenset(_mask_bits(self.adjacency_masks[v]))
@@ -78,12 +93,10 @@ class Graph:
         return max(self.degrees(), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency_masks[u] >> v & 1)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return len(_components_masks(self.adjacency_masks)) == 1
+        return len(_components_masks(self.adjacency_masks)) <= 1
 
     def components(self) -> list[tuple[int, ...]]:
         """Vertex sets of the connected components, each sorted, in order of minimum vertex."""
@@ -106,10 +119,10 @@ class Graph:
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.adjacency_masks == other.adjacency_masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adjacency_masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -428,16 +441,10 @@ def _random_regular(n: int, degree: int, seed: int | None) -> Graph:
     stubs = [v for v in range(n) for _ in range(degree)]
     for _ in range(2000):
         rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
-            return Graph(n, edges)
+        pairs = {frozenset(stubs[i:i + 2]) for i in range(0, len(stubs), 2)}
+        # simple: no loop (a pair of one vertex) and no repeated pair
+        if len(pairs) == len(stubs) // 2 and all(len(p) == 2 for p in pairs):
+            return Graph(n, map(tuple, pairs))
     raise ChromaboundError("random-regular sampling failed to produce a simple graph")
 
 

@@ -14,6 +14,7 @@ connectivity with its own union-find.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from chromabound import Graph
@@ -45,6 +46,13 @@ def _component_count(parents: list[int], edges) -> int:
             scratch[ru] = rv
             comps -= 1
     return comps
+
+
+@lru_cache(maxsize=16)
+def _edge_set(g: Graph) -> frozenset[tuple[int, int]]:
+    """The edge set of g, read once per graph: ``Graph.edges`` is rebuilt
+    from the adjacency on every access, and the census reads it per edge."""
+    return g.edges
 
 
 def _require_connected(g: Graph, what: str) -> list[tuple[int, int]]:
@@ -120,7 +128,7 @@ class RootedSpanningTree:
         if self.depth.get(self.root) != 0:
             raise ValueError("root must have depth 0")
         for v, p in self.parent.items():
-            if (min(v, p), max(v, p)) not in self.host.edges:
+            if (min(v, p), max(v, p)) not in _edge_set(self.host):
                 raise ValueError(f"tree edge {{{v}, {p}}} is not a host edge")
             if self.depth.get(v) != self.depth.get(p, -2) + 1:
                 raise ValueError("depth must increase by 1 along parent links")
@@ -190,7 +198,7 @@ def classify_tree(t: RootedSpanningTree) -> str:
     same_gen_ok = True
     cross_gen_ok = True
     sibling_ok = True
-    for i, j in t.host.edges:
+    for i, j in _edge_set(t.host):
         if (i, j) in tree_edges:
             continue
         di, dj = depth[i], depth[j]

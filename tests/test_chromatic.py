@@ -9,6 +9,7 @@ from chromabound import (
     count_proper_colorings,
     generate_graph,
 )
+from chromabound.chromatic import _edge_bit_masks
 from chromabound.polynomial import X
 
 
@@ -89,6 +90,18 @@ def test_oracle_caps():
         count_proper_colorings(generate_graph("path", n=21), 2)
     assert count_proper_colorings(generate_graph("path", n=4), 7) == 7 * 6**3
     assert count_proper_colorings(Graph(2, [(0, 1)]), 1024) == 1024 * 1023
+
+
+def test_coloring_table_cache_is_bounded():
+    # One table is 24 MB at the q^n cap (q = 2, n = 20), so only a few are
+    # kept: enough for q = 2..4 at one n, as criterion 10 asks.
+    _edge_bit_masks.cache_clear()
+    size = _edge_bit_masks.cache_info().maxsize
+    assert size is not None and 3 <= size <= 4
+    for q in range(2, size + 12):
+        _edge_bit_masks(q, 2)
+    assert _edge_bit_masks.cache_info().currsize == size
+    _edge_bit_masks.cache_clear()
 
 
 def test_oracle_chunked_path_agrees():

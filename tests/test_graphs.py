@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -47,6 +49,80 @@ def test_graph_is_immutable():
     g = Graph(2, [(0, 1)])
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+@pytest.mark.parametrize(
+    "masks, vertex",
+    [
+        ((0b10, 0), "vertex 0"),  # 0 lists 1, 1 does not list 0
+        ((0, 0b01), "vertex 1"),  # 1 lists 0, 0 does not list 1
+        ((0b1, 0), "vertex 0"),  # self-loop
+        ((0b100, 0b0), "vertex 0"),  # bit 2 on two vertices
+    ],
+)
+def test_from_masks_rejects_malformed_masks(masks, vertex):
+    with pytest.raises(ValueError, match=vertex):
+        Graph.from_masks(masks)
+
+
+@st.composite
+def _graphs_with_a_model(draw):
+    """A graph built from drawn pairs (repeated, in either orientation) and
+    the set of normalized pairs it should hold."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    drawn = draw(st.lists(st.sampled_from(pairs), max_size=2 * len(pairs))) if pairs else []
+    listed = [(v, u) if draw(st.booleans()) else (u, v) for u, v in drawn]
+    return n, Graph(n, listed), set(drawn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs_with_a_model(), st.data())
+def test_graph_api_matches_a_set_of_pairs(case, data):
+    n, g, model = case
+    assert g.n == n
+    assert g.edges == model and g.m == len(model)
+    assert g.degrees() == tuple(sum(v in e for e in model) for v in range(n))
+    # out-of-range and negative vertices included: a mask lookup at -1
+    # would read the last vertex
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in model), (u, v)
+
+    perm = data.draw(st.permutations(range(n)))
+    h = g.relabeled(perm)
+    assert h == Graph(n, [(perm[u], perm[v]) for u, v in model])
+    assert h.edges == {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in model}
+
+    keep = sorted(data.draw(st.sets(st.integers(0, n - 1))) if n else [])
+    pos = {v: i for i, v in enumerate(keep)}
+    sub = g.induced(keep)
+    assert sub.n == len(keep)
+    assert sub.edges == {(pos[u], pos[v]) for u, v in model if u in pos and v in pos}
+
+    same = Graph.from_masks(g.adjacency_masks)
+    assert same == g and hash(same) == hash(g)
+
+
+def test_a_graph_keeps_no_more_than_its_masks():
+    # Every level-7 graph rebuilt from masks that already exist, then read
+    # through each accessor: what stays allocated is what a Graph adds.
+    masks = [g.adjacency_masks for g in connected_graphs(7)]
+    kept = [None] * len(masks)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, adj in enumerate(masks):
+            g = kept[i] = Graph.from_masks(adj)
+            g.n, g.m, g.edges, g.degrees(), g.has_edge(0, 1), hash(g)
+        del g
+        # a full collection also empties the free lists, which would keep
+        # the tuples that degrees() made and dropped
+        gc.collect()
+        per_graph = (tracemalloc.get_traced_memory()[0] - before) / len(masks)
+    finally:
+        tracemalloc.stop()
+    assert per_graph < 200, per_graph
 
 
 def test_components_and_connectivity():
