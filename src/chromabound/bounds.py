@@ -20,7 +20,6 @@ by an exact disk test over the integers, so a verified flag is a proof.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,12 +32,18 @@ from .optimize import OptimizationResult, bisect_increasing, minimize_scalar
 from .roots import polynomial_roots
 from .series import series_radius, solve_tree_series, sup_x_threshold
 
+try:
+    # the built-in module: hashlib loads OpenSSL, about 4 MB resident
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
+
 _ORDER_SLACK = 1e-9
 # relative room for the bisection error of the saturation point
 _SERIES_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """Bounds for one graph, ordered strongest to weakest.
 
@@ -83,7 +88,7 @@ class BoundReport:
 
 def graph_id(g: Graph) -> str:
     """Stable identifier built from the canonical form of g."""
-    digest = hashlib.sha1(repr(canonical_form(g)).encode()).hexdigest()[:8]
+    digest = sha1(repr(canonical_form(g)).encode()).hexdigest()[:8]
     return f"g{g.n}v{g.m}e-{digest}"
 
 

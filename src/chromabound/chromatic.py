@@ -1,12 +1,13 @@
 """Exact chromatic polynomials and an exhaustive coloring oracle.
 
 The polynomial engine is deletion-contraction with memoization keyed by
-a canonical graph form, plus base cases (edgeless, tree, cycle, complete
-graph, and multiplicativity over components) that prune the recursion to
-desk-scale cost. The oracle counts proper colorings by enumerating every
-assignment of q colors to n vertices, up to q^n = 2^20, with one bit
-table per vertex pair, so the two agree only if both are right; that
-cross-check is the backbone of the test suite.
+a canonical graph form. Components multiply, and a simplicial vertex v
+(its neighbours form a clique) peels off as P(G) = (q - deg v) P(G - v),
+so edgeless, tree, complete and chordal graphs never reach the memo.
+The oracle counts proper colorings by enumerating every assignment of q
+colors to n vertices, up to q^n = 2^20, with one bit table per vertex
+pair, so the two agree only if both are right; that cross-check is the
+backbone of the test suite.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ def chromatic_polynomial(
 
 
 def _chrom(masks: tuple[int, ...], cache: dict) -> IntPolynomial:
-    n = len(masks)
-    if n == 0:
-        return IntPolynomial([1])
     comps = _components_masks(masks)
     if len(comps) > 1:
         result = IntPolynomial([1])
@@ -52,34 +50,36 @@ def _chrom(masks: tuple[int, ...], cache: dict) -> IntPolynomial:
             result = result * _chrom(_induced_masks(masks, comp), cache)
         return result
 
-    m = sum(mask.bit_count() for mask in masks) // 2
-    if m == 0:
-        return X ** n
-    if m == n - 1:
-        # connected with n-1 edges: a tree
-        return (X * (X - IntPolynomial([1])) ** (n - 1))
-    if m == n * (n - 1) // 2:
-        result = X
-        for k in range(1, n):
-            result = result * IntPolynomial([-k, 1])
-        return result
-    if m == n and all(mask.bit_count() == 2 for mask in masks):
+    # A simplicial vertex v, whose neighbours form a clique, takes any of the
+    # q - deg v colors its neighbours leave, and G - v stays connected.
+    factor = IntPolynomial([1])
+    while (v := _simplicial_vertex(masks)) is not None:
+        factor = factor * IntPolynomial([-masks[v].bit_count(), 1])
+        masks = _deleted(masks, v)
+    if not masks:
+        return factor
+    if all(mask.bit_count() == 2 for mask in masks):
         # connected 2-regular: the n-cycle
+        n = len(masks)
         qm1 = X - IntPolynomial([1])
-        return qm1 ** n + (qm1 if n % 2 == 0 else -qm1)
+        return factor * (qm1 ** n + (qm1 if n % 2 == 0 else -qm1))
 
     key = _canonical_masks(masks)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    result = cache.get(key)
+    if result is None:
+        u, v = _pick_edge(masks)
+        deleted = list(masks)
+        deleted[u] &= ~(1 << v)
+        deleted[v] &= ~(1 << u)
+        result = _chrom(tuple(deleted), cache) - _chrom(_contracted(masks, u, v), cache)
+        cache[key] = result
+    return factor * result
 
-    u, v = _pick_edge(masks)
-    deleted = list(masks)
-    deleted[u] &= ~(1 << v)
-    deleted[v] &= ~(1 << u)
-    result = _chrom(tuple(deleted), cache) - _chrom(_contracted(masks, u, v), cache)
-    cache[key] = result
-    return result
+
+def _simplicial_vertex(masks: tuple[int, ...]) -> int | None:
+    """A vertex whose neighbourhood is a clique, or None."""
+    return next((v for v, mask in enumerate(masks)
+                 if all((masks[u] | 1 << u) & mask == mask for u in _mask_bits(mask))), None)
 
 
 def _pick_edge(masks: tuple[int, ...]) -> tuple[int, int]:
@@ -97,19 +97,18 @@ def _pick_edge(masks: tuple[int, ...]) -> tuple[int, int]:
 
 def _contracted(masks: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
     """Merge v into u, drop v, relabel densely; parallel edges collapse."""
-    bu, bv = 1 << u, 1 << v
+    bu = 1 << u
     merged = list(masks)
-    merged[u] = (masks[u] | masks[v]) & ~(bu | bv)
+    merged[u] = (masks[u] | masks[v]) & ~(bu | 1 << v)
     for w in _mask_bits(masks[v] & ~bu):
         merged[w] |= bu
-    out = []
-    low = bv - 1
-    for w in range(len(masks)):
-        if w == v:
-            continue
-        mw = merged[w] & ~bv
-        out.append((mw & low) | ((mw >> (v + 1)) << v))
-    return tuple(out)
+    return _deleted(merged, v)
+
+
+def _deleted(masks: tuple[int, ...] | list[int], v: int) -> tuple[int, ...]:
+    """Drop vertex v and relabel the rest densely, keeping their order."""
+    low = (1 << v) - 1
+    return tuple((m & low) | (m >> (v + 1) << v) for w, m in enumerate(masks) if w != v)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # the default slot restore would write through __setattr__
+        return (Graph.from_masks, (self.adjacency_masks,))
+
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Graph":
         """The graph with adjacency ``masks``: symmetric, loop-free, bits below len(masks)."""
@@ -452,7 +456,7 @@ def _random_regular(n: int, degree: int, seed: int | None) -> Graph:
 # Neighborhood profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeighborhoodProfile:
     """Independent-subset counts of vertex neighborhoods.
 

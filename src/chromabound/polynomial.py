@@ -37,6 +37,9 @@ class IntPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
 
+    def __reduce__(self):
+        return (IntPolynomial, (self.coefficients,))
+
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import jsonschema
 import pytest
@@ -197,6 +198,18 @@ def test_bound_report_json():
     assert data["delta"] == 3
     assert data["zero_free_verified"] is False
     assert data["max_root_modulus"] is None
+
+
+def test_reports_are_slotted_and_keep_eq_hash_pickle_and_replace():
+    rep = verify_zero_free(generate_graph("petersen"))
+    for obj in (rep, rep.profile):
+        assert not hasattr(obj, "__dict__")
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj)
+    renamed = dataclasses.replace(rep, graph_id="petersen")
+    assert renamed.graph_id == "petersen" and renamed != rep
+    restored = dataclasses.replace(renamed, graph_id=rep.graph_id)
+    assert restored == rep and hash(restored) == hash(rep)
 
 
 def test_graph_id_is_isomorphism_invariant():

@@ -54,13 +54,62 @@ def test_polynomial_matches_oracle_random_graphs():
             assert p(q) == count_proper_colorings(g, q), (trial, q)
 
 
+def _random_chordal(rng: random.Random, n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Edges of a chordal graph on n vertices and its clique sizes |K_i|.
+
+    Vertex i joins K_i, a random subset of the clique {j} + K_j of a random
+    earlier vertex j (empty for some i, so some graphs are disconnected).
+    """
+    cliques: list[set[int]] = []
+    edges = []
+    for i in range(n):
+        k = set()
+        if i and rng.random() < 0.9:
+            j = rng.randrange(i)
+            k = {u for u in cliques[j] | {j} if rng.random() < 0.9}
+        cliques.append(k)
+        edges += [(u, i) for u in k]
+    return edges, [len(k) for k in cliques]
+
+
+def _linear_product(roots: list[int]) -> tuple[int, ...]:
+    """Ascending coefficients of prod (q - r), in plain integers."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
+
+
+def test_chordal_graphs_match_their_perfect_elimination_product():
+    # Coloring vertices in elimination order, vertex i has q - |K_i| colors:
+    # P(q) = prod (q - |K_i|), independent of deletion-contraction. The
+    # labels are shuffled so that the order is not the vertex order.
+    rng = random.Random(16)
+    for trial in range(220):
+        sizes = [rng.randrange(1, 15)]
+        if trial % 10 == 0:
+            sizes.append(rng.randrange(1, 15 - sizes[0] + 1))  # disjoint union
+        edges, clique_sizes, offset = [], [], 0
+        for n in sizes:
+            part_edges, part_sizes = _random_chordal(rng, n)
+            edges += [(u + offset, v + offset) for u, v in part_edges]
+            clique_sizes += part_sizes
+            offset += n
+        perm = list(range(offset))
+        rng.shuffle(perm)
+        g = Graph(offset, [(perm[u], perm[v]) for u, v in edges])
+        assert chromatic_polynomial(g).coefficients == _linear_product(clique_sizes), trial
+
+
 def test_isomorphic_graphs_share_cache_entries():
+    # Petersen has no simplicial vertex and is not a cycle, so it reaches the memo
     cache = {}
-    c6 = generate_graph("cycle", n=6)
-    chromatic_polynomial(c6, cache=cache)
+    g = generate_graph("petersen")
+    chromatic_polynomial(g, cache=cache)
     size_after_first = len(cache)
-    perm = [3, 5, 1, 0, 4, 2]
-    chromatic_polynomial(c6.relabeled(perm), cache=cache)
+    assert size_after_first > 0
+    perm = [3, 5, 1, 0, 4, 2, 9, 8, 7, 6]
+    chromatic_polynomial(g.relabeled(perm), cache=cache)
     assert len(cache) == size_after_first
 
 

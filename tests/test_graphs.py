@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import time
 import tracemalloc
@@ -49,6 +51,13 @@ def test_graph_is_immutable():
     g = Graph(2, [(0, 1)])
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def test_graph_pickles_and_copies():
+    g = generate_graph("petersen")
+    for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert back == g and hash(back) == hash(g)
+        assert back.adjacency_masks == g.adjacency_masks
 
 
 @pytest.mark.parametrize(

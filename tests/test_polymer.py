@@ -265,7 +265,7 @@ def test_partition_identity_connected():
 
 
 def test_chrom_cache_is_emptied_past_its_cap(monkeypatch):
-    g = generate_graph("grid", rows=2, cols=4)
+    g = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])  # K4,4
     polymer._CHROM_CACHE.clear()
     uncapped = hardcore_partition(g, 5)
     full = len(polymer._CHROM_CACHE)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -28,3 +30,10 @@ def test_non_integer_operands_raise_type_error(other):
     ):
         with pytest.raises(TypeError):
             op()
+
+
+def test_polynomial_pickles_and_copies():
+    p = IntPolynomial([-6, 11, -6, 1])
+    for back in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert back == p and hash(back) == hash(p)
+        assert back.coefficients == p.coefficients

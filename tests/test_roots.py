@@ -191,17 +191,27 @@ def test_import_does_not_load_mpmath():
     assert _fresh_interpreter_loads(code) == "False"
 
 
-def test_import_and_cli_commands_do_not_load_numpy():
-    code = """
+def _loaded_after_import_and_cli_commands(module: str) -> str:
+    code = f"""
 import contextlib, io, sys
 import chromabound, chromabound.cli
 for argv in (["verify", "--family", "petersen"], ["bounds", "--family", "petersen"],
              ["series", "--family", "petersen"], ["table"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert chromabound.cli.main(argv) == 0, argv
-print("numpy" in sys.modules)
+print({module!r} in sys.modules)
 """
-    assert _fresh_interpreter_loads(code) == "False"
+    return _fresh_interpreter_loads(code)
+
+
+def test_import_and_cli_commands_do_not_load_numpy():
+    assert _loaded_after_import_and_cli_commands("numpy") == "False"
+
+
+def test_import_and_cli_commands_do_not_load_openssl():
+    # graph_id hashes with the built-in _sha1; hashlib would map OpenSSL
+    pytest.importorskip("_sha1")
+    assert _loaded_after_import_and_cli_commands("_hashlib") == "False"
 
 
 def _strip_root(coeffs: list[int], k: int) -> tuple[list[int], int]:
