@@ -323,12 +323,16 @@ def _cmd_verify(args, parser) -> int:
         )
 
     if args.a is not None:
-        fp = check_fp_condition(g, args.q, args.a, args.order)
-        record(
-            "fp-condition",
-            "PASS" if fp.status == "satisfied" else "FAIL",
-            f"status={fp.status}, head={fp.head:.6g}, threshold={fp.threshold:.6g}",
-        )
+        try:
+            fp = check_fp_condition(g, args.q, args.a, args.order)
+        except ResourceLimitError as exc:
+            record("fp-condition", "SKIP", str(exc))
+        else:
+            record(
+                "fp-condition",
+                "PASS" if fp.status == "satisfied" else "FAIL",
+                f"status={fp.status}, head={fp.head:.6g}, threshold={fp.threshold:.6g}",
+            )
 
     try:
         zrep = verify_zero_free(g, tol=args.tol, max_vertices=args.max_vertices)

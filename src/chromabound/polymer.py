@@ -3,15 +3,17 @@
 A monomer is a vertex set of size at least 2 inducing a connected
 subgraph; its activity at parameter q is S / q^(k-1), where k is its
 size and S is the signed sum over connected spanning subgraphs of the
-induced graph. Every S the module uses is the linear coefficient of the
-induced graph's coloring polynomial, taken from the deletion-contraction
-engine. The module counts the rooted spanning trees that meet the
-generation conditions under which the signed sum collapses to a single
-count, by subset DPs over layerings and sibling-free forests. It also
-evaluates the exact hard-core partition function and checks the
-fixed-point convergence inequality with a certified geometric tail.
-The tests hold S and both tree counts to brute-force oracles of their
-own: an edge-subset enumeration and a census of every spanning tree.
+induced graph. The S of one whole set is the linear coefficient of its
+coloring polynomial, taken from the deletion-contraction engine; the S
+of every connected set of a graph at once comes from one subset
+recursion, the exponential formula solved at each set's lowest vertex.
+The module counts the rooted spanning trees that meet the generation
+conditions under which the signed sum collapses to a single count, by
+subset DPs over layerings and sibling-free forests. It also evaluates
+the exact hard-core partition function and checks the fixed-point
+convergence inequality with a certified geometric tail. The tests hold
+S and both tree counts to brute-force oracles of their own: an
+edge-subset enumeration and a census of every spanning tree.
 """
 
 from __future__ import annotations
@@ -61,6 +63,53 @@ def _s_value_induced(masks: tuple[int, ...], sub_mask: int) -> int:
     return _chrom(ind, _CHROM_CACHE).coefficients[1]
 
 
+def _s_table(masks: tuple[int, ...], max_size: int) -> dict[int, int]:
+    """S of every connected vertex set of size at most ``max_size``.
+
+    Summed over the set partitions of X, the products of the blocks' S
+    give [X is independent]. Split off the block Y of the lowest vertex
+    v: the rest J = X - Y is independent, and in a connected X each
+    vertex of J has a neighbour in Y. So S({v}) = 1, and a connected X
+    of two or more vertices has S(X) = -sum S(Y) over such splits. The
+    table is built in increasing size: each finished Y adds -S(Y) to
+    Y + J for every nonempty independent set J of vertices above v with
+    a neighbour in Y. No disconnected set is reached, and one missing
+    from the table counts 0. The table holds at most 500000 sets and
+    raises ``ResourceLimitError`` beyond that.
+    """
+    table = {1 << v: 1 for v in range(len(masks))}
+    by_size: list[list[int]] = [[], list(table)] + [[] for _ in range(max_size - 1)]
+    for size in range(1, max_size):
+        for y in by_size[size]:
+            s, low = table[y], y & -y
+            reach, rest = 0, y
+            while rest:
+                b = rest & -rest
+                reach |= masks[b.bit_length() - 1]
+                rest ^= b
+            # J grows in increasing vertex order, from the candidates
+            # above its last vertex that miss its neighbourhood
+            stack = [(y, reach & ~y & ~(low - 1), size)]
+            while stack:
+                y_j, cand, k = stack.pop()
+                k += 1
+                while cand:
+                    b = cand & -cand
+                    cand ^= b
+                    x = y_j | b
+                    prev = table.get(x)
+                    if prev is None:
+                        if len(table) >= _DP_STATE_CAP:
+                            raise _state_cap_error("signed-sum")
+                        table[x] = -s
+                        by_size[k].append(x)
+                    else:
+                        table[x] = prev - s
+                    if cand and k < max_size:
+                        stack.append((x, cand & ~masks[b.bit_length() - 1], k))
+    return table
+
+
 @dataclass(frozen=True)
 class Monomer:
     """A vertex set of size >= 2; validity in a host graph is checked
@@ -104,19 +153,13 @@ def activity(g: Graph, m: Monomer, q):
 
 
 def enumerate_monomers(g: Graph) -> Iterator[Monomer]:
-    """All monomers of g, each exactly once."""
-    for mask in _all_connected_masks(g.adjacency_masks, 2, g.n):
-        yield Monomer(_mask_bits(mask))
-
-
-def _all_connected_masks(
-    masks: tuple[int, ...], min_size: int, max_size: int
-) -> Iterator[int]:
-    n = len(masks)
-    full = (1 << n) - 1
-    for v in range(n):
+    """All monomers of g, each exactly once: by lowest vertex v, the
+    connected sets of v and the vertices above it."""
+    full = (1 << g.n) - 1
+    for v in range(g.n):
         allowed = full & ~((1 << v) - 1)
-        yield from _connected_sets_masks(masks, v, allowed, min_size, max_size)
+        for mask in _connected_sets_masks(g.adjacency_masks, v, allowed, 2, g.n):
+            yield Monomer(_mask_bits(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +363,10 @@ def hardcore_partition(g: Graph, q) -> Fraction:
     product of their activities, in rational arithmetic. Multiplying by
     q^n recovers the number of proper q-colorings, and the test suite
     holds the implementation to that identity.
+
+    With q = a/b in lowest terms, U(A) = a^|A| Z(A) is an integer: the
+    lowest vertex of A is either bare or in a monomer m inside A, so
+    U(A) = a [U(A - low) + sum S(m) b^(|m|-1) U(A - m)].
     """
     if isinstance(q, (float, complex)):
         raise TypeError("partition function requires exact rational q, not float")
@@ -330,27 +377,23 @@ def hardcore_partition(g: Graph, q) -> Fraction:
         raise ResourceLimitError(
             f"graph has {g.n} vertices, exceeding the cap of {_PARTITION_VERTEX_CAP}"
         )
-    masks = g.adjacency_masks
-    activities: dict[int, Fraction] = {}
-    for mask in _all_connected_masks(masks, 2, g.n):
-        s = _s_value_induced(masks, mask)
-        activities[mask] = Fraction(s) / q ** (mask.bit_count() - 1)
-
-    memo: dict[int, Fraction] = {0: Fraction(1)}
-
-    def rec(avail: int) -> Fraction:
-        hit = memo.get(avail)
-        if hit is not None:
-            return hit
+    a, b = q.numerator, q.denominator
+    # monomers by lowest vertex, each with its weight S b^(|m|-1)
+    at_low: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for mask, s in _s_table(g.adjacency_masks, g.n).items():
+        if mask & (mask - 1):
+            at_low[(mask & -mask).bit_length() - 1].append(
+                (mask, s * b ** (mask.bit_count() - 1))
+            )
+    u = [1] * (1 << g.n)
+    for avail in range(1, 1 << g.n):
         low = avail & -avail
-        total = rec(avail & ~low)
-        for mask, z in activities.items():
-            if mask & low and mask & avail == mask:
-                total += z * rec(avail & ~mask)
-        memo[avail] = total
-        return total
-
-    return rec((1 << g.n) - 1)
+        total = u[avail ^ low]
+        for mask, w in at_low[low.bit_length() - 1]:
+            if mask & avail == mask:
+                total += w * u[avail ^ mask]
+        u[avail] = a * total
+    return Fraction(u[-1], a ** g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +408,22 @@ def cq_norm_scaled(g: Graph, n: int) -> int:
     """
     if n < 2:
         raise ValueError("monomer sizes start at 2")
-    if n > _SUBSET_SIZE_CAP:
+    return _norms_scaled(g, n)[n]
+
+
+def _norms_scaled(g: Graph, top: int) -> list[int]:
+    """``cq_norm_scaled`` at every size up to ``top``, indexed by size,
+    from one table of signed sums."""
+    if top > _SUBSET_SIZE_CAP:
         raise ResourceLimitError(
             f"subset enumeration capped at size {_SUBSET_SIZE_CAP}"
         )
-    if n > g.n:
-        return 0
-    masks = g.adjacency_masks
-    totals = [0] * g.n
-    for mask in _all_connected_masks(masks, n, n):
-        s = abs(_s_value_induced(masks, mask))
+    totals = [[0] * g.n for _ in range(top + 1)]
+    for mask, s in _s_table(g.adjacency_masks, min(top, g.n)).items():
+        at_size, s = totals[mask.bit_count()], abs(s)
         for v in _mask_bits(mask):
-            totals[v] += s
-    return max(totals)
+            at_size[v] += s
+    return [max(t, default=0) for t in totals]
 
 
 def _scaled(k: int, q: float, e: int, log_factor: float = 0.0) -> float:
@@ -479,8 +525,9 @@ def check_fp_condition(g: Graph, q: float, a: float, order: int) -> FpConditionR
     delta = g.max_degree
     threshold = math.expm1(a)
     head = 0.0
-    for n in range(2, min(order, g.n) + 1):
-        head += _scaled(cq_norm_scaled(g, n), q, n - 1, a * n)
+    norms = _norms_scaled(g, min(order, g.n))
+    for n in range(2, len(norms)):
+        head += _scaled(norms[n], q, n - 1, a * n)
     ratio = _scaled(delta, q, 1, 1.0 + a)
     if head > threshold:
         return FpConditionReport(

@@ -261,6 +261,22 @@ def test_verify_with_fp_check(capsys):
     assert statuses["fp-condition"] == "PASS"
 
 
+def test_verify_fp_check_past_the_subset_cap_is_a_skip(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--family", "cycle", "--n", "18", "--a", "0.5", "--order", "17"
+    )
+    assert code == 0
+    payload = parse_json(out)
+    jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["fp-condition"] == {
+        "name": "fp-condition",
+        "status": "SKIP",
+        "detail": "subset enumeration capped at size 16",
+    }
+    assert checks["activity-bound"]["status"] == "PASS"
+
+
 @pytest.mark.parametrize("order", ["0", "1"])
 def test_verify_fp_check_rejects_order_below_two(capsys, order):
     # An explicit --order 0 is an order, not a request for the default.

@@ -24,6 +24,7 @@ from chromabound import (
     enumerate_monomers,
     generate_graph,
     hardcore_partition,
+    named_corpus,
     penrose_report,
     spanning_tree_count,
     verify_cn_bound,
@@ -116,6 +117,60 @@ def test_enumerate_monomers():
     p4 = generate_graph("path", n=4)
     # Connected subsets of a path are the intervals.
     assert len(list(enumerate_monomers(p4))) == 6
+
+
+def _connected_masks(g: Graph) -> dict[int, int]:
+    """Every connected vertex set of g, as a mask, with its size."""
+    out = {}
+    for x in range(g.n):
+        for size in range(1, g.n + 1):
+            for s in enumerate_connected_subsets(g, x, size):
+                out[sum(1 << v for v in s)] = size
+    return out
+
+
+def test_s_table_matches_deletion_contraction():
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    graphs += [g for _, g in named_corpus()]
+    for g in graphs:
+        table = polymer._s_table(g.adjacency_masks, g.n)
+        sets = _connected_masks(g)
+        assert table.keys() == sets.keys()
+        for mask, size in sets.items():
+            want = 1 if size == 1 else polymer._s_value_induced(g.adjacency_masks, mask)
+            assert table[mask] == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_s_table_matches_the_edge_subset_oracle(data):
+    # Every vertex set of a random graph: a connected one has the signed
+    # sum the oracle enumerates, and one the oracle finds disconnected is
+    # not in the table.
+    n = data.draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    g = Graph(n, edges)
+    table = polymer._s_table(g.adjacency_masks, n)
+    for mask in range(1, 1 << n):
+        sub = g.induced(v for v in range(n) if mask >> v & 1)
+        if mask in table:
+            assert table[mask] == signed_connected_sum(sub)
+        else:
+            with pytest.raises(ValueError, match="connected"):
+                signed_connected_sum(sub)
+
+
+def test_s_table_stops_at_the_state_cap(monkeypatch):
+    k5 = generate_graph("complete", n=5)
+    assert len(polymer._s_table(k5.adjacency_masks, 5)) == 31
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", 30)
+    with pytest.raises(ResourceLimitError, match="more than 30 states"):
+        polymer._s_table(k5.adjacency_masks, 5)
+    with pytest.raises(ResourceLimitError):
+        hardcore_partition(k5, 3)
+    with pytest.raises(ResourceLimitError):
+        cq_norm_scaled(k5, 5)
 
 
 def test_spanning_tree_enumeration_counts():
@@ -266,15 +321,77 @@ def test_partition_identity_connected():
 
 def test_chrom_cache_is_emptied_past_its_cap(monkeypatch):
     g = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])  # K4,4
+
+    def activities():
+        return [activity(g, m, 5) for m in enumerate_monomers(g)]
+
     polymer._CHROM_CACHE.clear()
-    uncapped = hardcore_partition(g, 5)
+    uncapped = activities()
     full = len(polymer._CHROM_CACHE)
     monkeypatch.setattr(polymer, "_CHROM_CACHE_CAP", 3)
     polymer._CHROM_CACHE.clear()
-    assert hardcore_partition(g, 5) == uncapped
+    assert activities() == uncapped
     assert full > 10
     assert len(polymer._CHROM_CACHE) < full
     polymer._CHROM_CACHE.clear()
+
+
+# Values of the earlier engine, which took every S from deletion-contraction.
+PINNED_NORMS = {
+    "grid-4x4": [
+        4, 16, 58, 190, 574, 1583, 3982, 9020, 18234, 32380, 49506, 63172, 63743, 45415, 17493,
+    ],
+    "petersen": [3, 9, 28, 84, 219, 476, 816, 1026, 704],
+    "complete-12": [
+        11, 110, 990, 7920, 55440, 332640, 1663200, 6652800, 19958400, 39916800, 39916800,
+    ],
+}
+PINNED_PARTITIONS = {
+    ("complete", 6, None): ["0", "0", "45/16807", "189/1250"],
+    ("cycle", 8, None): ["1/128", "86/2187", "7985/117649", "4304673/10000000"],
+    ("star", 7, None): ["1/128", "128/2187", "78125/823543", "4782969/10000000"],
+    ("random-regular", 8, 288545018): ["0", "16/2187", "2145/117649", "35451/125000"],
+    ("path", 8, None): ["1/128", "128/2187", "78125/823543", "4782969/10000000"],
+}
+PINNED_FP = [
+    ("petersen", 16, 10.0, 0.5, "violated", 1.5932966335760814, None),
+    ("petersen", 16, 40.0, 0.1, "satisfied", 0.09990907703746271, 6.293119352818625e-11),
+    ("grid-4x4", 16, 10.0, 0.5, "violated", 2.665736973947863, None),
+    ("grid-4x4", 16, 40.0, 0.1, "violated", 0.1371242458241156, None),
+    ("random-regular-14", 12, 10.0, 0.5, "violated", 1.561689312046673, None),
+    ("random-regular-14", 12, 40.0, 0.1, "satisfied", 0.0998535811017847, 2.4418849294264047e-08),
+]
+
+
+def _pinned_graph(name: str) -> Graph:
+    return {
+        "grid-4x4": lambda: generate_graph("grid", n=4),
+        "petersen": lambda: generate_graph("petersen"),
+        "complete-12": lambda: generate_graph("complete", n=12),
+        "random-regular-14": lambda: generate_graph("random-regular", n=14, degree=3, seed=1),
+    }[name]()
+
+
+def test_activity_norms_are_pinned():
+    for name, want in PINNED_NORMS.items():
+        g = _pinned_graph(name)
+        assert [cq_norm_scaled(g, n) for n in range(2, g.n + 1)] == want
+
+
+def test_partition_values_are_pinned():
+    for (family, n, seed), want in PINNED_PARTITIONS.items():
+        kwargs = {"n": n} if seed is None else {"n": n, "degree": 3, "seed": seed}
+        g = generate_graph(family, **kwargs)
+        got = [hardcore_partition(g, q) for q in (2, 3, Fraction(7, 2), 10)]
+        assert got == [Fraction(z) for z in want]
+
+
+def test_fp_reports_are_pinned():
+    for name, order, q, a, status, head, tail in PINNED_FP:
+        rep = check_fp_condition(_pinned_graph(name), q, a, order)
+        assert (rep.status, rep.order, rep.q, rep.a) == (status, order, q, a)
+        assert rep.head == pytest.approx(head, rel=1e-12)
+        assert rep.tail_bound == (None if tail is None else pytest.approx(tail, rel=1e-12))
 
 
 def test_partition_identity_disconnected():
