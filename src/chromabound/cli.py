@@ -315,12 +315,16 @@ def _cmd_verify(args, parser) -> int:
         record("activity-bound", "SKIP", "no monomers in an edgeless graph")
     else:
         top = min(5, g.n)
-        bad = [n for n in range(2, top + 1) if not verify_cn_bound(g, n, args.q).holds]
-        record(
-            "activity-bound",
-            "PASS" if not bad else "FAIL",
-            f"sizes 2..{top} at q={args.q}" + (f", exceeded at {bad}" if bad else ""),
-        )
+        try:
+            bad = [n for n in range(2, top + 1) if not verify_cn_bound(g, n, args.q).holds]
+        except ResourceLimitError as exc:
+            record("activity-bound", "SKIP", str(exc))
+        else:
+            record(
+                "activity-bound",
+                "PASS" if not bad else "FAIL",
+                f"sizes 2..{top} at q={args.q}" + (f", exceeded at {bad}" if bad else ""),
+            )
 
     if args.a is not None:
         try:

@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from chromabound import bounds, cli
+from chromabound import bounds, cli, polymer
 from chromabound.cli import _build_parser, main
 from chromabound.errors import ConvergenceError, InconclusiveError
 from cli_schemas import (
@@ -275,6 +275,28 @@ def test_verify_fp_check_past_the_subset_cap_is_a_skip(capsys):
         "detail": "subset enumeration capped at size 16",
     }
     assert checks["activity-bound"]["status"] == "PASS"
+
+
+def test_verify_signed_sum_table_cap_is_a_skip(capsys, monkeypatch):
+    # K5 has 15 vertex sets of size at most 2, so even the size-2 activity
+    # norm needs a table past a cap of 10.
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", 10)
+    code, out, _ = run(capsys, "verify", "--family", "complete", "--n", "5")
+    assert code == 0
+    payload = parse_json(out)
+    jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
+    assert payload["ok"] is True
+    checks = {c["name"]: c for c in payload["checks"]}
+    cap = "the signed-sum DP visited more than 10 states, its cap"
+    assert checks["activity-bound"] == {"name": "activity-bound", "status": "SKIP", "detail": cap}
+    assert checks["partition-identity"] == {
+        "name": "partition-identity",
+        "status": "SKIP",
+        "detail": cap,
+    }
+    # The Penrose layering DP shares the cap; only zero-free still runs.
+    assert checks["penrose-identity"]["status"] == "SKIP"
+    assert checks["zero-free"]["status"] == "PASS"
 
 
 @pytest.mark.parametrize("order", ["0", "1"])

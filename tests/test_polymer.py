@@ -171,6 +171,10 @@ def test_s_table_stops_at_the_state_cap(monkeypatch):
         hardcore_partition(k5, 3)
     with pytest.raises(ResourceLimitError):
         cq_norm_scaled(k5, 5)
+    with pytest.raises(ResourceLimitError):
+        verify_cn_bound(k5, 5, 11.0)
+    with pytest.raises(ResourceLimitError):
+        check_fp_condition(k5, 11.0, 0.5, 8)
 
 
 def test_spanning_tree_enumeration_counts():
