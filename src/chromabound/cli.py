@@ -5,6 +5,12 @@ a degree, ``table`` emits the comparison table of the three bound
 families, ``verify`` runs the identity checks on one graph and exits
 nonzero if any fails, and ``series`` prints rooted-tree series
 coefficients with the radius and optional saturation threshold.
+
+Every subcommand builds its JSON payload, its CSV rows and, where the
+text output is not one ``key: value`` line per field, its text lines;
+one emitter, ``_emit``, prints the chosen format. Each ``verify`` check
+returns ``(ok, detail)``, and one rule turns a library cap
+(``ResourceLimitError``) into a SKIP with the cap's message.
 """
 
 from __future__ import annotations
@@ -33,12 +39,7 @@ from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
 from .errors import ChromaboundError, ResourceLimitError
 from .graphs import Graph, generate_graph, neighborhood_profile, parse_graph
 from .polynomial import IntPolynomial
-from .polymer import (
-    check_fp_condition,
-    hardcore_partition,
-    penrose_report,
-    verify_cn_bound,
-)
+from .polymer import check_fp_condition, hardcore_partition, penrose_report, verify_cn_bound
 from .series import series_radius, solve_tree_series, sup_x_threshold, t_n_delta
 
 _FORMAT_ENV = "CHROMABOUND_FORMAT"
@@ -63,25 +64,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bounds = sub.add_parser(
-        "bounds", help="bound report for a graph, or the degree-only pair"
-    )
+    p_bounds = sub.add_parser("bounds", help="bound report for a graph, or the degree-only pair")
     _add_graph_flags(p_bounds)
     p_bounds.add_argument(
-        "--order",
-        type=int,
-        help="add the series-form radius, checked by its order-N partial sum",
+        "--order", type=int, help="add the series-form radius, checked by its order-N partial sum"
     )
     p_bounds.set_defaults(func=_cmd_bounds)
 
-    p_table = sub.add_parser(
-        "table", help="comparison table over degrees 2, 3, 4, 6"
-    )
+    p_table = sub.add_parser("table", help="comparison table over degrees 2, 3, 4, 6")
     p_table.set_defaults(func=_cmd_table)
 
-    p_verify = sub.add_parser(
-        "verify", help="identity checks for one graph; exit 0 iff all pass"
-    )
+    p_verify = sub.add_parser("verify", help="identity checks for one graph; exit 0 iff all pass")
     _add_graph_flags(p_verify)
     p_verify.add_argument("--q", type=float, default=10.0, help="q of the activity checks")
     p_verify.add_argument("--a", type=float, help="run the convergence check at this a")
@@ -92,9 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_series = sub.add_parser(
-        "series", help="rooted-tree series coefficients and thresholds"
-    )
+    p_series = sub.add_parser("series", help="rooted-tree series coefficients and thresholds")
     _add_graph_flags(p_series)
     p_series.add_argument("--order", type=int, default=10, help="series truncation order")
     p_series.add_argument("--b", type=float, help="saturation level for the series threshold")
@@ -157,33 +148,24 @@ def _round2(x: float) -> str:
     return str(Decimal(repr(float(x))).quantize(Decimal("0.01"), ROUND_HALF_UP))
 
 
-def _emit_csv_rows(rows: list[dict]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    if not rows:
-        return
-    keys = list(rows[0])
-    writer.writerow(keys)
-    for row in rows:
-        writer.writerow([row[k] for k in keys])
+def _emit(fmt: str, payload, rows: list[dict], lines: list[str] | None = None) -> None:
+    """Print a command's output: its JSON payload, its CSV rows under a
+    header of their keys, or its text lines, by default one ``key: value``
+    line per payload field."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
+    else:
+        if lines is None:
+            lines = [
+                f"{k}: {json.dumps(v) if isinstance(v, (dict, list)) else v}"
+                for k, v in payload.items()
+            ]
+        print("\n".join(lines))
 
-
-def _scalar_row(payload: dict) -> dict:
-    return {
-        k: v for k, v in payload.items() if not isinstance(v, (dict, list))
-    }
-
-
-def _emit_kv_text(payload: dict) -> None:
-    for k, v in payload.items():
-        if isinstance(v, (dict, list)):
-            print(f"{k}: {json.dumps(v)}")
-        else:
-            print(f"{k}: {v}")
-
-
-# ---------------------------------------------------------------------------
-# bounds
-# ---------------------------------------------------------------------------
 
 def _cmd_bounds(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
@@ -203,39 +185,29 @@ def _cmd_bounds(args, parser) -> int:
         }
     else:
         g = _resolve_graph(args, parser)
-        report = cstar_graph(g)
-        report = dataclasses.replace(report, graph_id=_graph_label(args, g))
+        report = dataclasses.replace(cstar_graph(g), graph_id=_graph_label(args, g))
         if args.order is not None:
             report = dataclasses.replace(
                 report, c_star_graph_series=cstar_graph_series(report.profile, args.order)
             )
         payload = report.to_json()
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        _emit_csv_rows([_scalar_row(payload)])
-    else:
-        _emit_kv_text(payload)
+    scalars = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
+    _emit(fmt, payload, [scalars])
     return 0
 
 
-# ---------------------------------------------------------------------------
-# table
-# ---------------------------------------------------------------------------
-
 def _cmd_table(args, parser) -> int:
     fmt = _resolve_format(args, "csv", parser)
-    rows = []
-    for d in (2, 3, 4, 6):
-        rows.append(
-            {
-                "delta": d,
-                "sokal": _round2(sokal_bound(d).value),
-                "cstar_delta": _round2(cstar_delta(d).value),
-                "cstar_complete": _round2(complete_graph_bound(d)),
-                "exact": str(d),
-            }
-        )
+    rows = [
+        {
+            "delta": d,
+            "sokal": _round2(sokal_bound(d).value),
+            "cstar_delta": _round2(cstar_delta(d).value),
+            "cstar_complete": _round2(complete_graph_bound(d)),
+            "exact": str(d),
+        }
+        for d in (2, 3, 4, 6)
+    ]
     cs = constants()
     limit_ratio = 1.0 / (3.0 - 2.0 * math.sqrt(2.0))
     rows.append(
@@ -247,22 +219,49 @@ def _cmd_table(args, parser) -> int:
             "exact": "delta",
         }
     )
-    if fmt == "json":
-        print(json.dumps(rows, indent=2))
-    elif fmt == "csv":
-        _emit_csv_rows(rows)
-    else:
-        widths = {k: max(len(str(r[k])) for r in rows + [dict.fromkeys(rows[0], k)]) for k in rows[0]}
-        header = "  ".join(k.ljust(widths[k]) for k in rows[0])
-        print(header)
-        for r in rows:
-            print("  ".join(str(r[k]).ljust(widths[k]) for k in r))
+    grid = [{k: k for k in rows[0]}] + rows
+    widths = {k: max(len(str(r[k])) for r in grid) for k in rows[0]}
+    lines = ["  ".join(str(r[k]).ljust(widths[k]) for k in r) for r in grid]
+    _emit(fmt, rows, rows, lines)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
+def _penrose_check(g: Graph, args):
+    rep = penrose_report(g)
+    sign = -1 if (g.n - 1) % 2 else 1
+    return rep.s_value == sign * rep.penrose_count, (
+        f"S={rep.s_value}, trees={rep.tree_count}, "
+        f"penrose={rep.penrose_count}, weak={rep.weak_penrose_count}"
+    )
+
+
+def _partition_check(g: Graph, args):
+    partition = {q: hardcore_partition(g, q) for q in _PARTITION_POINTS}
+    p = chromatic_polynomial(g, max_vertices=args.max_vertices)
+    bad = [q for q, z in partition.items() if Fraction(q) ** g.n * z != p(q)]
+    return not bad, f"checked q in {_PARTITION_POINTS}" + (f", mismatch at {bad}" if bad else "")
+
+
+def _activity_check(g: Graph, args):
+    top = min(5, g.n)
+    bad = [n for n in range(2, top + 1) if not verify_cn_bound(g, n, args.q).holds]
+    return not bad, f"sizes 2..{top} at q={args.q}" + (f", exceeded at {bad}" if bad else "")
+
+
+def _fp_check(g: Graph, args):
+    fp = check_fp_condition(g, args.q, args.a, args.order)
+    return fp.status == "satisfied", (
+        f"status={fp.status}, head={fp.head:.6g}, threshold={fp.threshold:.6g}"
+    )
+
+
+def _zero_free_check(g: Graph, args):
+    rep = verify_zero_free(g, tol=args.tol, max_vertices=args.max_vertices)
+    reference = rep.c_star_graph if rep.c_star_graph is not None else rep.c_star_delta
+    return rep.zero_free_verified, (
+        f"max root modulus {rep.max_root_modulus:.6g} vs bound {reference:.6g}"
+    )
+
 
 def _cmd_verify(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
@@ -276,100 +275,41 @@ def _cmd_verify(args, parser) -> int:
     def record(name: str, status: str, detail: str) -> None:
         checks.append({"name": name, "status": status, "detail": detail})
 
-    if not g.is_connected():
-        record(
-            "penrose-identity",
-            "SKIP",
-            "the signed sum is defined for connected graphs only",
-        )
-    else:
+    def run(name: str, check, failures=()) -> None:
+        """Record a check's (ok, detail); a library cap is a SKIP with its
+        message, and an error in ``failures`` is a FAIL."""
         try:
-            rep = penrose_report(g)
+            ok, detail = check(g, args)
         except ResourceLimitError as exc:
-            record("penrose-identity", "SKIP", str(exc))
+            record(name, "SKIP", str(exc))
+        except failures as exc:
+            record(name, "FAIL", str(exc))
         else:
-            sign = -1 if (g.n - 1) % 2 else 1
-            ok = rep.s_value == sign * rep.penrose_count
-            record(
-                "penrose-identity",
-                "PASS" if ok else "FAIL",
-                f"S={rep.s_value}, trees={rep.tree_count}, "
-                f"penrose={rep.penrose_count}, weak={rep.weak_penrose_count}",
-            )
+            record(name, "PASS" if ok else "FAIL", detail)
 
-    try:
-        partition = {q: hardcore_partition(g, q) for q in _PARTITION_POINTS}
-    except ResourceLimitError as exc:
-        record("partition-identity", "SKIP", str(exc))
+    if g.n == 0:
+        record("penrose-identity", "SKIP", "the signed sum needs at least one vertex")
+    elif not g.is_connected():
+        record("penrose-identity", "SKIP", "the signed sum is defined for connected graphs only")
     else:
-        p = chromatic_polynomial(g)
-        bad = [q for q, z in partition.items() if Fraction(q) ** g.n * z != p(q)]
-        record(
-            "partition-identity",
-            "PASS" if not bad else "FAIL",
-            f"checked q in {_PARTITION_POINTS}"
-            + (f", mismatch at {bad}" if bad else ""),
-        )
-
-    if g.m == 0 or g.n < 2:
+        run("penrose-identity", _penrose_check)
+    run("partition-identity", _partition_check)
+    if g.m == 0:
         record("activity-bound", "SKIP", "no monomers in an edgeless graph")
     else:
-        top = min(5, g.n)
-        try:
-            bad = [n for n in range(2, top + 1) if not verify_cn_bound(g, n, args.q).holds]
-        except ResourceLimitError as exc:
-            record("activity-bound", "SKIP", str(exc))
-        else:
-            record(
-                "activity-bound",
-                "PASS" if not bad else "FAIL",
-                f"sizes 2..{top} at q={args.q}" + (f", exceeded at {bad}" if bad else ""),
-            )
-
+        run("activity-bound", _activity_check)
     if args.a is not None:
-        try:
-            fp = check_fp_condition(g, args.q, args.a, args.order)
-        except ResourceLimitError as exc:
-            record("fp-condition", "SKIP", str(exc))
-        else:
-            record(
-                "fp-condition",
-                "PASS" if fp.status == "satisfied" else "FAIL",
-                f"status={fp.status}, head={fp.head:.6g}, threshold={fp.threshold:.6g}",
-            )
-
-    try:
-        zrep = verify_zero_free(g, tol=args.tol, max_vertices=args.max_vertices)
-    except ResourceLimitError as exc:
-        record("zero-free", "SKIP", str(exc))
-    except ChromaboundError as exc:
-        record("zero-free", "FAIL", str(exc))
-    else:
-        reference = (
-            zrep.c_star_graph if zrep.c_star_graph is not None else zrep.c_star_delta
-        )
-        record(
-            "zero-free",
-            "PASS" if zrep.zero_free_verified else "FAIL",
-            f"max root modulus {zrep.max_root_modulus:.6g} vs bound {reference:.6g}",
-        )
+        run("fp-condition", _fp_check)
+    # a root or bound computation that errors out is a failed check
+    run("zero-free", _zero_free_check, failures=ChromaboundError)
 
     ok = all(c["status"] != "FAIL" for c in checks)
     payload = {"graph_id": _graph_label(args, g), "ok": ok, "checks": checks}
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        _emit_csv_rows(checks)
-    else:
-        for c in checks:
-            print(f"{c['name']}: {c['status']} ({c['detail']})")
-        print(f"result: {'ok' if ok else 'failed'}")
+    lines = [f"{c['name']}: {c['status']} ({c['detail']})" for c in checks]
+    lines.append(f"result: {'ok' if ok else 'failed'}")
+    _emit(fmt, payload, checks, lines)
     return 0 if ok else 1
 
-
-# ---------------------------------------------------------------------------
-# series
-# ---------------------------------------------------------------------------
 
 def _cmd_series(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
@@ -378,8 +318,7 @@ def _cmd_series(args, parser) -> int:
     if _has_graph_source(args):
         g = _resolve_graph(args, parser)
         prof = neighborhood_profile(g)
-        z = prof.z_polynomial()
-        zt = prof.z_tilde_polynomial()
+        z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
         _, series = solve_tree_series(zt, z, args.order)
         source = _graph_label(args, g)
     else:
@@ -393,24 +332,16 @@ def _cmd_series(args, parser) -> int:
         zt = one_plus ** (args.delta - 1)
         source = f"delta-{args.delta}"
     radius, u0 = series_radius(zt)
+    coefficients = [str(c) for c in series.coefficients]
     payload = {
         "source": source,
         "order": args.order,
-        "coefficients": [str(c) for c in series.coefficients],
+        "coefficients": coefficients,
         "radius": radius if math.isfinite(radius) else "inf",
         "radius_argmax": u0 if math.isfinite(u0) else "inf",
         "b": args.b,
         "threshold_x": sup_x_threshold(args.b, z, zt) if args.b is not None else None,
     }
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        _emit_csv_rows(
-            [
-                {"n": i + 1, "coefficient": c}
-                for i, c in enumerate(payload["coefficients"])
-            ]
-        )
-    else:
-        _emit_kv_text(payload)
+    rows = [{"n": i, "coefficient": c} for i, c in enumerate(coefficients, 1)]
+    _emit(fmt, payload, rows)
     return 0

@@ -285,15 +285,7 @@ def _parse_edge_list(text: str) -> Graph:
         lineno, header = next(lines)
     except StopIteration:
         raise GraphParseError("empty input, expected 'n m' header") from None
-    parts = header.split()
-    if len(parts) != 2:
-        raise GraphParseError("header must be two integers 'n m'", lineno)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphParseError("header must be two integers 'n m'", lineno) from None
-    if n < 0 or m < 0:
-        raise GraphParseError("negative count in header", lineno)
+    n, m = _header_counts(header.split(), lineno, "header must be two integers 'n m'")
     edges = []
     count = 0
     for lineno, line in lines:
@@ -315,12 +307,10 @@ def _parse_dimacs(text: str) -> Graph:
         if fields[0] == "p":
             if n is not None:
                 raise GraphParseError("duplicate problem line", lineno)
-            if len(fields) != 4 or fields[1] != "edge":
-                raise GraphParseError("problem line must be 'p edge n m'", lineno)
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise GraphParseError("problem line must be 'p edge n m'", lineno) from None
+            usage = "problem line must be 'p edge n m'"
+            if fields[1:2] != ["edge"]:
+                raise GraphParseError(usage, lineno)
+            n, m = _header_counts(fields[2:], lineno, usage)
         elif fields[0] == "e":
             if n is None:
                 raise GraphParseError("edge before problem line", lineno)
@@ -335,6 +325,19 @@ def _parse_dimacs(text: str) -> Graph:
     if count < m:
         raise GraphParseError(f"declared {m} edges, found {count}")
     return Graph(n, edges)
+
+
+def _header_counts(parts: list[str], lineno: int, usage: str) -> tuple[int, int]:
+    """The vertex and edge counts of a header's two count fields."""
+    if len(parts) != 2:
+        raise GraphParseError(usage, lineno)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphParseError(usage, lineno) from None
+    if n < 0 or m < 0:
+        raise GraphParseError("negative count in header", lineno)
+    return n, m
 
 
 def _parse_endpoint_pair(s: str, lineno: int, n: int, base: int) -> tuple[int, int]:

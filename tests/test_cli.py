@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 
 import jsonschema
@@ -224,6 +226,36 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
         assert payload["ok"] is False
         checks = {c["name"]: c for c in payload["checks"]}
         assert checks["zero-free"] == {"name": "zero-free", "status": "FAIL", "detail": str(error)}
+
+
+def test_verify_on_the_empty_graph_skips_penrose(capsys, tmp_path):
+    # The 0-vertex graph is connected, but its signed sum is undefined.
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    code, out, _ = run(capsys, "verify", "--graph", str(path))
+    assert code == 0
+    payload = parse_json(out)
+    jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["penrose-identity"] == {
+        "name": "penrose-identity",
+        "status": "SKIP",
+        "detail": "the signed sum needs at least one vertex",
+    }
+    assert checks["partition-identity"]["status"] == "PASS"
+    assert checks["activity-bound"]["status"] == "SKIP"
+    assert checks["zero-free"]["status"] == "PASS"
+
+
+def test_verify_polynomial_cap_skips_the_partition_check(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--family", "cycle", "--n", "8", "--max-vertices", "5"
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in parse_json(out)["checks"]}
+    cap = "graph has 8 vertices, exceeding the cap of 5"
+    for name in ("partition-identity", "zero-free"):
+        assert checks[name] == {"name": name, "status": "SKIP", "detail": cap}
 
 
 def test_bounds_order_computes_the_profile_once(capsys, monkeypatch):
@@ -466,3 +498,65 @@ def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
         main(["verify", "--family", "cycle", "--n", "5", "--tol", tol])
     assert exc.value.code == 2
     assert "--tol must be positive" in capsys.readouterr().err
+
+
+# Every format carries the fields and values of the JSON output, in order.
+_FORMAT_CASES = [
+    ["bounds", "--delta", "4"],
+    ["bounds", "--family", "petersen", "--order", "64"],
+    ["bounds", "--family", "star", "--n", "5"],
+    ["table"],
+    ["verify", "--family", "cycle", "--n", "5", "--a", "0.5"],
+    ["verify", "--family", "cycle", "--n", "5", "--a", "400"],
+    ["series", "--delta", "3", "--order", "6", "--b", "2.0"],
+    ["series", "--family", "complete", "--n", "3", "--order", "4"],
+]
+
+
+def _json_and_other(capsys, argv, fmt):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    other_code, other, err = run(capsys, *argv, "--format", fmt)
+    assert (other_code, err) == (code, "")
+    return parse_json(out), other
+
+
+def _csv_rows_of(command: str, payload) -> list[dict]:
+    if command == "table":
+        return payload
+    if command == "verify":
+        return payload["checks"]
+    if command == "series":
+        return [{"n": i, "coefficient": c} for i, c in enumerate(payload["coefficients"], 1)]
+    return [{k: v for k, v in payload.items() if not isinstance(v, (dict, list))}]
+
+
+@pytest.mark.parametrize("argv", _FORMAT_CASES, ids=" ".join)
+def test_csv_output_carries_the_json_fields(capsys, argv):
+    payload, out = _json_and_other(capsys, argv, "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    expected = _csv_rows_of(argv[0], payload)
+    assert rows[0] == list(expected[0])
+    assert rows[1:] == [["" if v is None else str(v) for v in row.values()] for row in expected]
+
+
+@pytest.mark.parametrize("argv", _FORMAT_CASES, ids=" ".join)
+def test_text_output_carries_the_json_fields(capsys, argv):
+    payload, out = _json_and_other(capsys, argv, "text")
+    lines = out.splitlines()
+    if argv[0] == "table":
+        assert len({len(line) for line in lines}) == 1  # an aligned grid
+        grid = [line.split() for line in lines]
+        assert grid[0] == list(payload[0])
+        assert grid[1:] == [[str(v) for v in row.values()] for row in payload]
+    elif argv[0] == "verify":
+        assert lines == [
+            f"{c['name']}: {c['status']} ({c['detail']})" for c in payload["checks"]
+        ] + [f"result: {'ok' if payload['ok'] else 'failed'}"]
+    else:
+        fields = [line.split(": ", 1) for line in lines]
+        assert [k for k, _ in fields] == list(payload)
+        for k, v in fields:
+            if isinstance(payload[k], (dict, list)):
+                assert parse_json(v) == payload[k]
+            else:
+                assert v == str(payload[k])

@@ -249,6 +249,9 @@ def test_parse_dimacs():
     assert g.has_edge(0, 1) and g.has_edge(1, 2)
     with pytest.raises(GraphParseError):
         parse_graph("p edge 2 1\ne 0 1\n", "dimacs")
+    for header in ("p edge 2 -1", "p edge -1 0"):
+        with pytest.raises(GraphParseError, match="^line 2: negative count in header$"):
+            parse_graph(f"c comment\n{header}\n", "dimacs")
     with pytest.raises(ValueError):
         parse_graph("1 0\n", "adjacency")
 
