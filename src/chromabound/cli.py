@@ -269,6 +269,8 @@ def _cmd_verify(args, parser) -> int:
         parser.error("verify needs a graph source (--graph/--family)")
     if not args.tol > 0:  # also rejects nan
         parser.error("--tol must be positive")
+    if args.max_vertices < 1:  # a cap below 1 would SKIP both polynomial checks
+        parser.error("--max-vertices must be at least 1")
     g = _resolve_graph(args, parser)
     checks: list[dict] = []
 

@@ -182,64 +182,96 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     """A canonical adjacency-mask tuple: equal iff the graphs are isomorphic.
 
     Individualization-refinement search returning the lexicographically
-    least relabeled mask tuple over the explored branches. Branching is
-    restricted to one representative per group of interchangeable
-    vertices (identical neighborhoods after ignoring each other), which
-    keeps complete and complete-multipartite graphs linear.
+    least relabeled mask tuple over the explored branches. Refinement
+    ranks the vertices of each cell by an integer signature, a base-W
+    count of their neighbours' colours, which orders them exactly as
+    their sorted neighbour-colour tuples would; the forms are therefore
+    the ones a tuple-ranking refinement gives. Branching is restricted
+    to one representative per group of interchangeable vertices
+    (identical neighborhoods after ignoring each other), which keeps
+    complete and complete-multipartite graphs linear.
     """
     return _canonical_masks(g.adjacency_masks)
 
 
 def _canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
+    # The colouring is an ordered list of cells, each in increasing vertex
+    # order; a vertex's colour is the index of its cell, so colours are
+    # always 0..n-1. Refinement splits every cell at once by the colours
+    # of the vertices' neighbours, keeps the order of the cells, orders
+    # the parts of a cell by the sorted tuple of their neighbours' colours
+    # and repeats until no cell splits. Individualizing v puts it in a
+    # cell of its own just before the rest of its cell.
+    #
+    # Integer signatures. The first cells are the degree classes and
+    # cells only split, so the tuples within a cell have equal length.
+    # For equal lengths, tuple a is below tuple b exactly when, at the
+    # smallest colour whose counts differ, a has more of it: at the first
+    # index i where they differ, a[i] = x < b[i]; the equal prefixes hold
+    # the same colours below x, and the rest of b holds none of x. With
+    # W = max degree + 1, sig(v) = sum of W**(n - 1 - colour(u)) over the
+    # neighbours u of v carries the count of colour c as its base-W digit
+    # n - 1 - c: a count is at most the degree, below W, so nothing
+    # carries and the smallest colour is the top digit. Descending
+    # signatures are therefore ascending tuples, and every cell, leaf and
+    # form is the one a ranking of (colour, sorted tuple) would give.
     n = len(masks)
     if n <= 1:
         return tuple(masks)
     nbrs = [tuple(_mask_bits(m)) for m in masks]
+    by_degree: dict[int, list[int]] = {}
+    for v, m in enumerate(masks):
+        by_degree.setdefault(m.bit_count(), []).append(v)
+    base = max(by_degree) + 1
+    weights = [base ** (n - 1 - c) for c in range(n)]
     best: tuple[int, ...] | None = None
 
-    def search(colors: list[int]) -> None:
+    def search(cells: list[list[int]]) -> None:
         nonlocal best
-        # stable color refinement: rank (color, sorted neighbor colors)
-        # until the ranks stop changing
+        weight = [0] * n
         while True:
-            sigs = [
-                (c, tuple(sorted(map(colors.__getitem__, nb))))
-                for c, nb in zip(colors, nbrs)
-            ]
-            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = [rank[s] for s in sigs]
-            if new == colors:
+            for cell, w in zip(cells, weights):
+                for v in cell:
+                    weight[v] = w
+            split: list[list[int]] = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                parts: dict[int, list[int]] = {}
+                for v in cell:
+                    parts.setdefault(sum(map(weight.__getitem__, nbrs[v])), []).append(v)
+                if len(parts) == 1:
+                    split.append(cell)
+                else:
+                    split.extend(parts[sig] for sig in sorted(parts, reverse=True))
+            if len(split) == len(cells):
                 break
-            colors = new
-        if len(rank) == n:
-            # discrete: vertex v gets label colors[v]
-            bit = [1 << c for c in colors]
-            cand = [0] * n
-            for c, nb in zip(colors, nbrs):
-                cand[c] = sum(map(bit.__getitem__, nb))
-            cand = tuple(cand)
+            cells = split
+        if len(cells) == n:
+            # discrete: cells[i] holds the vertex labelled i
+            bit = [0] * n
+            for i, (v,) in enumerate(cells):
+                bit[v] = 1 << i
+            cand = tuple([sum(map(bit.__getitem__, nbrs[v])) for v, in cells])
             if best is None or cand < best:
                 best = cand
             return
-        # invariant cell choice: among non-singleton classes, smallest
-        # size, then smallest color value
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        cell_color = min((sz, c) for c, sz in counts.items() if sz > 1)[1]
-        cell = [v for v in range(n) if colors[v] == cell_color]
+        # invariant cell choice: smallest non-singleton cell, then the
+        # lowest colour; each branch individualizes one of its vertices
+        at, size = 0, n + 1
+        for i, cell in enumerate(cells):
+            if 1 < len(cell) < size:
+                at, size = i, len(cell)
+        cell = cells[at]
         tried: list[int] = []
         for v in cell:
             if any(_interchangeable(masks, v, u) for u in tried):
                 continue
             tried.append(v)
-            child = [2 * c for c in colors]
-            child[v] -= 1
-            search(child)
+            search(cells[:at] + [[v], [u for u in cell if u != v]] + cells[at + 1:])
 
-    degs = [m.bit_count() for m in masks]
-    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
-    search([rank[d] for d in degs])
+    search([by_degree[d] for d in sorted(by_degree)])
     return best
 
 

@@ -5,10 +5,15 @@ that the polymer module takes from the chromatic engine's linear
 coefficient. ``enumerate_spanning_trees`` and ``classify_tree`` build
 and sort every rooted spanning tree for the Penrose and weakly Penrose
 counts that ``penrose_report`` takes from its DPs.
+``reference_canonical_masks`` refines by ranking each vertex's colour
+and sorted tuple of neighbour colours; ``graphs._canonical_masks``
+ranks by integer signatures in the same search and must return the
+same form.
 
 The module shares no code with the engines it checks: it reads only the
-vertex count and edge set of the input ``Graph``, and tests
-connectivity with its own union-find.
+vertex count and edge set of the input ``Graph`` (or, for the canonical
+labeling, its adjacency masks), and tests connectivity with its own
+union-find.
 """
 
 from __future__ import annotations
@@ -215,3 +220,73 @@ def classify_tree(t: RootedSpanningTree) -> str:
     if sibling_ok:
         return "weakly-penrose-only"
     return "neither"
+
+
+# ---------------------------------------------------------------------------
+# Canonical labeling by sorted neighbour-colour tuples
+# ---------------------------------------------------------------------------
+
+def _mask_bits(mask: int) -> Iterator[int]:
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def _interchangeable(masks: tuple[int, ...], v: int, u: int) -> bool:
+    return masks[v] & ~(1 << u) == masks[u] & ~(1 << v)
+
+
+def reference_canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The least relabeled mask tuple over an individualization-refinement
+    search whose refinement ranks (colour, sorted neighbour colours)."""
+    n = len(masks)
+    if n <= 1:
+        return tuple(masks)
+    nbrs = [tuple(_mask_bits(m)) for m in masks]
+    best: tuple[int, ...] | None = None
+
+    def search(colors: list[int]) -> None:
+        nonlocal best
+        # stable color refinement: rank (color, sorted neighbor colors)
+        # until the ranks stop changing
+        while True:
+            sigs = [
+                (c, tuple(sorted(map(colors.__getitem__, nb))))
+                for c, nb in zip(colors, nbrs)
+            ]
+            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [rank[s] for s in sigs]
+            if new == colors:
+                break
+            colors = new
+        if len(rank) == n:
+            # discrete: vertex v gets label colors[v]
+            bit = [1 << c for c in colors]
+            cand = [0] * n
+            for c, nb in zip(colors, nbrs):
+                cand[c] = sum(map(bit.__getitem__, nb))
+            cand = tuple(cand)
+            if best is None or cand < best:
+                best = cand
+            return
+        # invariant cell choice: among non-singleton classes, smallest
+        # size, then smallest color value
+        counts: dict[int, int] = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        cell_color = min((sz, c) for c, sz in counts.items() if sz > 1)[1]
+        cell = [v for v in range(n) if colors[v] == cell_color]
+        tried: list[int] = []
+        for v in cell:
+            if any(_interchangeable(masks, v, u) for u in tried):
+                continue
+            tried.append(v)
+            child = [2 * c for c in colors]
+            child[v] -= 1
+            search(child)
+
+    degs = [m.bit_count() for m in masks]
+    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
+    search([rank[d] for d in degs])
+    return best

@@ -500,6 +500,15 @@ def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
     assert "--tol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_rejects_a_vertex_cap_below_one(capsys, cap):
+    # Such a cap would SKIP both polynomial checks and still print result: ok.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "cycle", "--n", "5", "--max-vertices", cap])
+    assert exc.value.code == 2
+    assert "--max-vertices must be at least 1" in capsys.readouterr().err
+
+
 # Every format carries the fields and values of the JSON output, in order.
 _FORMAT_CASES = [
     ["bounds", "--delta", "4"],

@@ -22,6 +22,8 @@ from chromabound import (
     neighborhood_profile,
     parse_graph,
 )
+from chromabound.graphs import _canonical_masks
+from reference_oracles import reference_canonical_masks
 
 
 def test_graph_basic_accessors():
@@ -224,6 +226,70 @@ def test_canonical_form_is_invariant_under_relabeling(case):
     h = Graph.from_masks(form)
     assert sorted(h.degrees()) == sorted(g.degrees())
     assert canonical_form(h) == form
+
+
+def _assert_reference_forms(g, perm):
+    for h in (g, g.relabeled(perm)):
+        masks = h.adjacency_masks
+        assert _canonical_masks(masks) == reference_canonical_masks(masks)
+
+
+@st.composite
+def _larger_labeled_graphs(draw):
+    n = draw(st.integers(2, 12))
+    p = draw(st.sampled_from([0.2, 0.35, 0.5, 0.7]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_larger_labeled_graphs())
+def test_canonical_masks_match_the_tuple_ranking_reference(case):
+    # Integer signatures must give the very forms the tuple-ranking
+    # refinement gave: memo keys, graph_ids and the corpus rest on them.
+    g, perm = case
+    _assert_reference_forms(g, perm)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("grid", {"rows": 4, "cols": 4}), ("petersen", {})]
+    + [
+        ("random-regular", {"n": n, "degree": d, "seed": seed})
+        for n, d in [(12, 3), (14, 3), (16, 4), (18, 3)]
+        for seed in (1, 2, 3)
+    ],
+)
+def test_canonical_masks_match_the_reference_where_the_memo_works(name, kwargs):
+    # The corpus pins stop at 8 vertices; deletion-contraction keys the
+    # memo on 9-18-vertex graphs like these.
+    g = generate_graph(name, **kwargs)
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    _assert_reference_forms(g, perm)
+
+
+def test_integer_signatures_order_equal_length_sorted_tuples():
+    # Sorted colour tuples of one length below W: their order is the
+    # descending order of the signatures sum(W ** (K - c)) refinement ranks.
+    rng = random.Random(3)
+    for _ in range(300):
+        length = rng.randint(0, 6)
+        colors = rng.randint(1, 12)
+        base = length + 1
+        top = colors - 1
+        tuples = list({
+            tuple(sorted(rng.randrange(colors) for _ in range(length)))
+            for _ in range(rng.randint(1, 12))
+        })
+
+        def sig(t):
+            return sum(base ** (top - c) for c in t)
+
+        assert sorted(tuples) == sorted(tuples, key=sig, reverse=True)
+        assert len({sig(t) for t in tuples}) == len(tuples)
 
 
 def test_parse_edge_list_roundtrip():
