@@ -30,7 +30,7 @@ from .errors import InconclusiveError
 from .graphs import Graph, NeighborhoodProfile, canonical_form, neighborhood_profile
 from .optimize import OptimizationResult, bisect_increasing, minimize_scalar
 from .roots import polynomial_roots
-from .series import series_radius, solve_tree_series, sup_x_threshold
+from .series import TruncatedSeries, series_radius, solve_tree_series, sup_x_threshold
 
 try:
     # the built-in module: hashlib loads OpenSSL, about 4 MB resident
@@ -39,7 +39,7 @@ except ImportError:
     from hashlib import sha1
 
 _ORDER_SLACK = 1e-9
-# relative room for the bisection error of the saturation point
+# relative room for the root solver's error in the saturation point
 _SERIES_SLACK = 1e-9
 
 
@@ -239,7 +239,7 @@ def cstar_graph_series(g: Graph | NeighborhoodProfile, order: int = 64) -> float
     ``sup_x_threshold(b)`` while b < Z(u0), u0 maximizing u/Zt(u), and the
     series radius once b >= Z(u0). ``order`` sets a check: the exact
     order-N partial sum at the minimizing y, whose terms are non-negative,
-    must not pass b beyond the bisection's tolerance, or
+    must not pass b beyond the root solver's tolerance, or
     ``InconclusiveError`` is raised.
     """
     if order < 8:
@@ -254,11 +254,29 @@ def cstar_graph_series(g: Graph | NeighborhoodProfile, order: int = 64) -> float
         return sup_x_threshold(b, z, zt) if b < z_u0 else radius
 
     res = _minimize(lambda a: math.exp(a) / saturation(a), 1e-3, 3.0, tol=1e-9)
-    b, y = 2.0 - math.exp(-res.argmin), Fraction(saturation(res.argmin))
-    head = solve_tree_series(zt, z, order)[1](y) / y
-    if head > b * (1.0 + _SERIES_SLACK):
+    b, y = 2.0 - math.exp(-res.argmin), saturation(res.argmin)
+    t = solve_tree_series(zt, z, order)[1]
+    if not _partial_sum_at_most(t, y, b * (1.0 + _SERIES_SLACK)):
+        head = t(Fraction(y)) / Fraction(y)
         raise InconclusiveError(f"order-{order} partial sum {float(head)!r} exceeds {b!r}")
     return res.value
+
+
+def _partial_sum_at_most(t: TruncatedSeries, y: float, level: float) -> bool:
+    """Whether sum_{n=1..N} t_n y^{n-1} <= level, decided exactly.
+
+    A float y is num / 2^k and level is m / 2^j, so the comparison is
+    sum_n t_n num^{n-1} 2^{k(N-n)} * 2^j <= m * 2^{k(N-1)} over the
+    integers, the left side one Horner pass with shifts for the powers
+    of 2^k.
+    """
+    num, den = y.as_integer_ratio()
+    m, den_level = level.as_integer_ratio()
+    k, j = den.bit_length() - 1, den_level.bit_length() - 1
+    acc = 0
+    for i, c in enumerate(reversed(t.coefficients)):  # c = t_{N-i}
+        acc = acc * num + (c << k * i)
+    return acc << j <= m << k * (t.order - 1)
 
 
 def verify_zero_free(

@@ -61,9 +61,17 @@ def roots_inside(p: IntPolynomial, radius) -> bool:
     """True exactly when every root of p lies in |q| < radius, a rational
     (int, Fraction or float).
 
-    Scales to s^n p(r z / s) for radius = r/s, then applies the Schur
-    transform b_k = a_n a_k - a_0 a_{n-k} until the degree reaches 0;
-    all roots are inside exactly when every step has |a_n| > |a_0|.
+    Scales to r_0 = s^n p(r z / s) for radius = r/s, then applies the
+    Schur transform T, b_k = a_n a_k - a_0 a_{n-k}, until the degree
+    reaches 0; all roots are inside exactly when every step has
+    |a_n| > |a_0|. A nonzero constant factor changes neither that test
+    nor the later steps, so the coefficients are kept small without
+    gcds, by a fraction-free step in the manner of Bareiss: r_1 = T(r_0),
+    r_2 = T(r_1) and r_{k+1} = T(r_k) / lead(r_{k-1}) for k >= 2. For
+    k = 2 the division is exact because lead(T(p)) divides T(T(T(p)))
+    for every integer p; for larger k it left no remainder on every
+    input tested. Every remainder is checked, and a nonzero one raises
+    ``ArithmeticError``, so a True is still a proof.
     """
     if not p:
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -72,13 +80,26 @@ def roots_inside(p: IntPolynomial, radius) -> bool:
         return p.degree == 0
     r, s = radius.numerator, radius.denominator
     c = [a * r**k * s ** (p.degree - k) for k, a in enumerate(p.coefficients)]
-    while len(c) > 1:
+    for k in range(p.degree):  # c = r_k
         a0, an = c[0], c[-1]
         if abs(an) <= abs(a0):
             return False
         m = len(c) - 1
-        c = _primitive([an * c[k] - a0 * c[m - k] for k in range(1, m + 1)])
+        c = [an * c[i] - a0 * c[m - i] for i in range(1, m + 1)]
+        if k >= 2:
+            c = _exact_quotient(c, lead_before)
+        lead_before = an
     return True
+
+
+def _exact_quotient(c: list[int], d: int) -> list[int]:
+    quotients = []
+    for a in c:
+        q, rem = divmod(a, d)
+        if rem:
+            raise ArithmeticError(f"Schur-Cohn step: {a} is not divisible by {d}")
+        quotients.append(q)
+    return quotients
 
 
 def polynomial_roots(p: IntPolynomial, tol: float = 1e-8) -> RootSet:

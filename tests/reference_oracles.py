@@ -8,7 +8,10 @@ counts that ``penrose_report`` takes from its DPs.
 ``reference_canonical_masks`` refines by ranking each vertex's colour
 and sorted tuple of neighbour colours; ``graphs._canonical_masks``
 ranks by integer signatures in the same search and must return the
-same form.
+same form. ``reference_roots_inside`` is the Schur-Cohn disk test that
+divides every transformed polynomial by the gcd of its coefficients;
+``roots.roots_inside`` divides exactly by an earlier leading coefficient
+instead and must give the same verdict.
 
 The module shares no code with the engines it checks: it reads only the
 vertex count and edge set of the input ``Graph`` (or, for the canonical
@@ -18,7 +21,9 @@ union-find.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -290,3 +295,24 @@ def reference_canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
     rank = {d: i for i, d in enumerate(sorted(set(degs)))}
     search([rank[d] for d in degs])
     return best
+
+
+def reference_roots_inside(coefficients: tuple[int, ...], radius) -> bool:
+    """The Schur-Cohn disk test with each transformed polynomial divided
+    by the gcd of its coefficients: True exactly when every root of the
+    integer polynomial (ascending, nonzero) lies in |q| < radius."""
+    radius = Fraction(radius)
+    degree = len(coefficients) - 1
+    if radius <= 0:
+        return degree == 0
+    r, s = radius.numerator, radius.denominator
+    c = [a * r**k * s ** (degree - k) for k, a in enumerate(coefficients)]
+    while len(c) > 1:
+        a0, an = c[0], c[-1]
+        if abs(an) <= abs(a0):
+            return False
+        m = len(c) - 1
+        c = [an * c[k] - a0 * c[m - k] for k in range(1, m + 1)]
+        g = math.gcd(*c)
+        c = [x // g for x in c]
+    return True

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import pickle
+import random
+from fractions import Fraction
+from functools import lru_cache
 
 import jsonschema
 import pytest
@@ -26,7 +29,8 @@ from chromabound import (
     sokal_bound,
     verify_zero_free,
 )
-from chromabound import bounds
+from chromabound import bounds, series
+from chromabound.series import TruncatedSeries, solve_tree_series
 from cli_schemas import BOUND_REPORT_SCHEMA
 
 
@@ -191,6 +195,30 @@ def test_series_form_raises_when_the_partial_sum_passes_the_level(monkeypatch):
         cstar_graph_series(generate_graph("petersen"), 64)
 
 
+@pytest.mark.parametrize("order", [8, 64, 540])
+def test_partial_sum_check_matches_the_rational_sum(order):
+    rng = random.Random(order)
+    prof = neighborhood_profile(generate_graph("petersen"))
+    t = solve_tree_series(prof.z_tilde_polynomial(), prof.z_polynomial(), order)[1]
+    for _ in range(6):
+        y = rng.uniform(0.01, 0.1)  # inside the series radius 1/4, sums near the levels
+        head = t(Fraction(y)) / Fraction(y)
+        near = float(head)
+        for level in (near, math.nextafter(near, 0.0), math.nextafter(near, math.inf),
+                      rng.uniform(1.0, 2.0)):
+            assert bounds._partial_sum_at_most(t, y, level) == (head <= level)
+    # a short series at a dyadic y with 10 bits sums to a float exactly,
+    # so the level can sit on the sum and on either side of it
+    for _ in range(6):
+        t = TruncatedSeries(tuple(rng.randrange(1000) for _ in range(4)) + (0,) * (order - 4), order)
+        y = rng.randrange(1, 1024) / 1024
+        head = t(Fraction(y)) / Fraction(y)
+        assert Fraction(float(head)) == head
+        assert bounds._partial_sum_at_most(t, y, float(head))
+        assert not bounds._partial_sum_at_most(t, y, math.nextafter(float(head), 0.0))
+        assert bounds._partial_sum_at_most(t, y, math.nextafter(float(head), math.inf))
+
+
 def test_bound_report_json():
     rep = cstar_graph(generate_graph("complete", n=4))
     data = rep.to_json()
@@ -295,10 +323,8 @@ def _assert_matches_scipy(ours, f, lo, hi):
     assert ours.value == pytest.approx(_scipy_min(f, lo, hi), rel=1e-9)
 
 
-def test_per_graph_minimization_matches_scipy():
-    pytest.importorskip("scipy")
-    from scipy.optimize import brentq
-
+@lru_cache(maxsize=1)
+def _profiles_up_to_7_vertices():
     profiles = {
         neighborhood_profile(g)
         for n in range(2, 8)
@@ -306,7 +332,39 @@ def test_per_graph_minimization_matches_scipy():
         if g.max_degree >= 2
     }
     assert len(profiles) == 124
-    for prof in profiles:
+    return sorted(profiles, key=repr)
+
+
+def test_per_graph_minimizations_take_at_most_64_evaluations():
+    # 32 grid samples and at most 32 steps of Brent's method
+    for prof in _profiles_up_to_7_vertices():
+        assert bounds._cstar_profile_opt(prof).evaluations <= 64
+
+
+def test_saturation_point_solves_take_at_most_20_evaluations(monkeypatch):
+    counts = []
+    real = series.bisect_increasing
+
+    def counting(f, target, lo):
+        calls = []
+        root = real(lambda x: calls.append(x) or f(x), target, lo)
+        counts.append(len(calls))
+        return root
+
+    monkeypatch.setattr(series, "bisect_increasing", counting)
+    for prof in _profiles_up_to_7_vertices():
+        z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
+        for b in (1.01, 1.3, 1.6, 1.9, 1.99):
+            series.sup_x_threshold(b, z, zt)
+    assert len(counts) == 5 * 124
+    assert max(counts) <= 20
+
+
+def test_per_graph_minimization_matches_scipy():
+    pytest.importorskip("scipy")
+    from scipy.optimize import brentq
+
+    for prof in _profiles_up_to_7_vertices():
         t, tt = prof.t, prof.t_tilde
 
         def z(x, t=t):

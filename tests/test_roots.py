@@ -23,7 +23,9 @@ from chromabound import (
     polynomial_roots,
     roots_inside,
 )
+from chromabound import roots
 from chromabound.polynomial import X
+from reference_oracles import reference_roots_inside
 
 
 def _matches(roots, expected, tol=1e-8):
@@ -103,6 +105,36 @@ def test_roots_inside_complete_graph(n):
     assert not roots_inside(p, n - 1)
     assert roots_inside(p, math.nextafter(n - 1, math.inf))
     assert roots_inside(p, Fraction(n - 1) + Fraction(1, 10**30))
+
+
+_radius = st.one_of(
+    st.fractions(min_value=0, max_value=64, max_denominator=10**6),
+    st.floats(min_value=1e-3, max_value=64.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=14).filter(lambda c: c[-1] != 0), _radius)
+def test_roots_inside_agrees_with_the_gcd_reduced_transform(coefficients, radius):
+    expected = reference_roots_inside(tuple(coefficients), radius)
+    assert roots_inside(IntPolynomial(coefficients), radius) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=12), st.floats(0.5, 2.0))
+def test_roots_inside_agrees_near_the_largest_root(integer_roots, scale):
+    # integer roots put the radius near the boundary, where verdicts flip
+    p = IntPolynomial([1])
+    for r in integer_roots:
+        p = p * (X - r)
+    radius = scale * max(abs(r) for r in integer_roots)
+    assert roots_inside(p, radius) == reference_roots_inside(p.coefficients, radius)
+
+
+def test_schur_cohn_division_checks_its_remainder():
+    assert roots._exact_quotient([6, -9, 0], 3) == [2, -3, 0]
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        roots._exact_quotient([6, 7], 3)
 
 
 def _max_modulus_of(factor: IntPolynomial) -> float:
