@@ -24,7 +24,6 @@ from .chromatic import chromatic_polynomial, count_proper_colorings
 from .corpus import connected_graphs, corpus_graphs, named_corpus
 from .errors import (
     ChromaboundError,
-    ConvergenceError,
     GraphParseError,
     InconclusiveError,
     ResourceLimitError,
@@ -71,7 +70,6 @@ __all__ = [
     "BoundReport",
     "ChromaboundError",
     "CnBoundReport",
-    "ConvergenceError",
     "FpConditionReport",
     "Graph",
     "GraphParseError",

@@ -280,9 +280,9 @@ def _partial_sum_at_most(t: TruncatedSeries, y: float, level: float) -> bool:
 
 
 def verify_zero_free(
-    g: Graph, *, tol: float = 1e-8, max_vertices: int = _DEFAULT_VERTEX_CAP
+    g: Graph, *, tol: float | None = None, max_vertices: int = _DEFAULT_VERTEX_CAP
 ) -> BoundReport:
-    """Locate every chromatic root and compare against the bounds.
+    """Certify the largest chromatic root modulus and compare it with the bounds.
 
     The verified flag records whether the certified largest root modulus
     falls strictly inside the strongest applicable bound (the per-graph
@@ -290,9 +290,11 @@ def verify_zero_free(
     graphs). Every root has modulus at most ``max_root_modulus``, so a
     true flag proves the graph's chromatic polynomial zero-free on
     |q| >= bound.
+
+    ``tol`` is accepted and ignored: no root tolerance enters the verdict.
     """
     p = chromatic_polynomial(g, max_vertices=max_vertices)
-    rs = polynomial_roots(p, tol)
+    rs = polynomial_roots(p)
     delta = g.max_degree
     if delta == 0:
         report = BoundReport(

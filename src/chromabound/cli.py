@@ -39,7 +39,13 @@ from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
 from .errors import ChromaboundError, ResourceLimitError
 from .graphs import Graph, generate_graph, neighborhood_profile, parse_graph
 from .polynomial import IntPolynomial
-from .polymer import check_fp_condition, hardcore_partition, penrose_report, verify_cn_bound
+from .polymer import (
+    _DP_STATE_CAP,
+    check_fp_condition,
+    hardcore_partition,
+    penrose_report,
+    verify_cn_bound,
+)
 from .series import series_radius, solve_tree_series, sup_x_threshold, t_n_delta
 
 _FORMAT_ENV = "CHROMABOUND_FORMAT"
@@ -79,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q", type=float, default=10.0, help="q of the activity checks")
     p_verify.add_argument("--a", type=float, help="run the convergence check at this a")
     p_verify.add_argument("--order", type=int, default=16, help="series order of the --a check")
-    p_verify.add_argument("--tol", type=float, default=1e-8, help="root residual tolerance")
     p_verify.add_argument(
         "--max-vertices", type=int, default=_DEFAULT_VERTEX_CAP, help="polynomial-computation cap"
     )
@@ -229,9 +234,12 @@ def _cmd_table(args, parser) -> int:
 def _penrose_check(g: Graph, args):
     rep = penrose_report(g)
     sign = -1 if (g.n - 1) % 2 else 1
+    weak = rep.weak_penrose_count
+    if weak is None:
+        weak = f"capped at {_DP_STATE_CAP} states"
     return rep.s_value == sign * rep.penrose_count, (
         f"S={rep.s_value}, trees={rep.tree_count}, "
-        f"penrose={rep.penrose_count}, weak={rep.weak_penrose_count}"
+        f"penrose={rep.penrose_count}, weak={weak}"
     )
 
 
@@ -256,7 +264,7 @@ def _fp_check(g: Graph, args):
 
 
 def _zero_free_check(g: Graph, args):
-    rep = verify_zero_free(g, tol=args.tol, max_vertices=args.max_vertices)
+    rep = verify_zero_free(g, max_vertices=args.max_vertices)
     reference = rep.c_star_graph if rep.c_star_graph is not None else rep.c_star_delta
     return rep.zero_free_verified, (
         f"max root modulus {rep.max_root_modulus:.6g} vs bound {reference:.6g}"
@@ -267,8 +275,6 @@ def _cmd_verify(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
     if not _has_graph_source(args):
         parser.error("verify needs a graph source (--graph/--family)")
-    if not args.tol > 0:  # also rejects nan
-        parser.error("--tol must be positive")
     if args.max_vertices < 1:  # a cap below 1 would SKIP both polynomial checks
         parser.error("--max-vertices must be at least 1")
     g = _resolve_graph(args, parser)

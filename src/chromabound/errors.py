@@ -21,18 +21,6 @@ class ResourceLimitError(ChromaboundError):
     """An exhaustive routine was asked to exceed its configured cap."""
 
 
-class ConvergenceError(ChromaboundError):
-    """Iteration failed to reach the requested tolerance.
-
-    Carries the best iterate so callers can inspect how close it got.
-    """
-
-    def __init__(self, message: str, roots=None, residuals=None):
-        self.roots = tuple(roots) if roots is not None else None
-        self.residuals = tuple(residuals) if residuals is not None else None
-        super().__init__(message)
-
-
 class InconclusiveError(ChromaboundError):
     """A certified numeric check could neither pass nor fail.
 

@@ -168,15 +168,17 @@ def enumerate_monomers(g: Graph) -> Iterator[Monomer]:
 
 @dataclass(frozen=True)
 class PenroseReport:
-    """Signed sum S next to the spanning-tree counts it collapses onto."""
+    """Signed sum S next to the spanning-tree counts it collapses onto
+    (``weak_penrose_count`` is None where its DP reached the state cap)."""
 
     s_value: int
     tree_count: int
     penrose_count: int
-    weak_penrose_count: int
+    weak_penrose_count: int | None
 
     def __post_init__(self):
-        if not 0 <= self.penrose_count <= self.weak_penrose_count <= self.tree_count:
+        weak = self.tree_count if self.weak_penrose_count is None else self.weak_penrose_count
+        if not 0 <= self.penrose_count <= weak <= self.tree_count:
             raise ValueError("tree counts must be ordered and non-negative")
 
 
@@ -189,8 +191,9 @@ def penrose_report(g: Graph) -> PenroseReport:
     DP and ``weak_penrose_count`` the sibling DP, so the collapse
     identity compares independent computations.
 
-    Each DP visits at most 500000 states and raises
-    ``ResourceLimitError`` beyond that.
+    Each DP visits at most 500000 states. Past that the layering DP
+    raises ``ResourceLimitError``; the sibling DP, which the identity
+    does not use, leaves ``weak_penrose_count`` None.
     """
     if g.n == 0:
         raise ValueError("signed sum needs at least one vertex")
@@ -199,7 +202,10 @@ def penrose_report(g: Graph) -> PenroseReport:
     masks = g.adjacency_masks
     rest = ((1 << g.n) - 1) & ~1
     penrose = _penrose_layerings(masks, rest)
-    weak = _sibling_free_trees(masks, rest)
+    try:
+        weak = _sibling_free_trees(masks, rest)
+    except ResourceLimitError:
+        weak = None
     return PenroseReport(
         s_value=_s_value_induced(masks, (1 << g.n) - 1),
         tree_count=spanning_tree_count(g),

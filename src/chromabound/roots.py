@@ -7,10 +7,9 @@ exact gcds into square-free layers, so that every root the float step
 sees is simple. The Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
 1973) in Python floats finds the roots of each layer; an approximation
 that rounds to an integer root is divided out exactly too. No numpy is
-involved. It rejects the set if any exactly evaluated residual
-|p(z)| / max_k |coeff_k| misses the tolerance, and certifies the largest
-modulus: an exact integer root or a radius the disk test passed, within
-1e-9 relative of the exact value.
+involved. Only the largest modulus is certified: an exact integer root,
+or a radius the disk test passed, within 1e-9 relative of the exact
+value. The non-integer roots are uncertified approximations.
 """
 
 from __future__ import annotations
@@ -20,41 +19,35 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConvergenceError
 from .polynomial import IntPolynomial
 
 # The largest modulus is first bracketed within _CERT_REL of its float
 # estimate; bisection narrows any other bracket to _BRACKET_REL relative.
 _CERT_REL = 1e-10
 _BRACKET_REL = 4e-10
-_NEWTON_STEPS = 4
 # Integer roots up to this modulus are divided out by trial before the
 # float step, so they come back exact and leave it a smaller polynomial;
 # a larger one is caught by rounding its approximation.
 _TRIAL_LIMIT = 16
-# Sweeps of the Aberth iteration; a root still moving after them fails the
-# residual test.
+# Sweeps of the Aberth iteration; a root still moving after them is
+# returned as it stands.
 _ABERTH_STEPS = 200
 _EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """All complex roots of a polynomial, with evaluation residuals.
+    """All complex roots of a polynomial and their certified largest modulus.
 
-    ``roots[i]`` and ``residuals[i]`` correspond. ``max_modulus`` bounds
-    |z| over the set, lies within 1e-9 relative of the largest |z| and
-    equals it when that root is an integer (0.0 for constant
-    polynomials). Roots are sorted by real part, then imaginary part.
+    ``roots`` are uncertified Aberth-Ehrlich approximations (the zero and
+    integer roots are exact), sorted by real part, then imaginary part.
+    ``max_modulus`` is certified: it bounds every |z|, lies within 1e-9
+    relative of the largest and equals it when that root is an integer
+    (0.0 for constant polynomials).
     """
 
     roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
     max_modulus: float
-
-    def __post_init__(self):
-        if len(self.roots) != len(self.residuals):
-            raise ValueError("roots and residuals must align")
 
 
 def roots_inside(p: IntPolynomial, radius) -> bool:
@@ -102,8 +95,8 @@ def _exact_quotient(c: list[int], d: int) -> list[int]:
     return quotients
 
 
-def polynomial_roots(p: IntPolynomial, tol: float = 1e-8) -> RootSet:
-    """Find all roots of p, raising ConvergenceError on residuals >= tol."""
+def polynomial_roots(p: IntPolynomial) -> RootSet:
+    """All roots of p, with multiplicity, and their certified largest modulus."""
     if not p:
         raise ValueError("the zero polynomial has no well-defined root set")
     rest = list(p.coefficients)
@@ -125,19 +118,10 @@ def polynomial_roots(p: IntPolynomial, tol: float = 1e-8) -> RootSet:
         layers = _multiplicity_layers(rest)
         approx = [_aberth_roots(h) for h in layers]
 
-    found = [(0j, 0.0)] * zero_mult + [(complex(k), 0.0) for k in exact]
-    found += [_refine(p.coefficients, z, tol) for zs in approx for z in zs]
-    found.sort(key=lambda t: (t[0].real, t[0].imag))
-    roots = tuple(z for z, _ in found)
-    residuals = tuple(r for _, r in found)
-    bad = [r for r in residuals if not r < tol]
-    if bad:
-        raise ConvergenceError(
-            f"{len(bad)} of {len(roots)} roots have residual >= {tol:g}",
-            roots=roots,
-            residuals=residuals,
-        )
-    return RootSet(roots, residuals, _max_modulus(exact, layers, approx))
+    found = [0j] * zero_mult + [complex(k) for k in exact]
+    found += [z for zs in approx for z in zs]
+    found.sort(key=lambda z: (z.real, z.imag))
+    return RootSet(tuple(found), _max_modulus(exact, layers, approx))
 
 
 def _divide_out(coeffs: list[int], ks: list[int]) -> tuple[list[int], list[int]]:
@@ -196,40 +180,6 @@ def _horner(a: list[float], z: complex) -> tuple[complex, complex, float]:
         value = value * z + c
         bound = bound * r + abs(c)
     return value, slope, bound
-
-
-def _value(coeffs: tuple[int, ...], z: complex) -> complex:
-    """p(z) rounded once: Horner over the Gaussian integers is exact,
-    because z is a dyadic rational."""
-    (x, dx), (y, dy) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    d = max(dx, dy)  # both are powers of two
-    x, y = x * (d // dx), y * (d // dy)
-    re = im = 0
-    scale = 1
-    for c in reversed(coeffs):
-        re, im = re * x - im * y + c * scale, re * y + im * x
-        scale *= d
-    den = d ** (len(coeffs) - 1)
-    return complex(re / den, im / den)
-
-
-def _refine(coeffs: tuple[int, ...], z: complex, tol: float) -> tuple[complex, float]:
-    """An approximate root and its residual, after Newton steps if it misses tol
-    (a root of large modulus can miss by a few units in the last place);
-    with p(z) exact, a float derivative suffices to reach the nearest floats."""
-    if not cmath.isfinite(z):
-        return z, math.inf
-    scale = max(abs(c) for c in coeffs)
-    best = (z, abs(_value(coeffs, z)) / scale)
-    for _ in range(_NEWTON_STEPS):
-        if best[1] < tol:
-            break
-        dv = _horner([float(c) for c in reversed(coeffs)], z)[1]
-        if dv == 0:
-            break
-        z = z - _value(coeffs, z) / dv
-        best = min(best, (z, abs(_value(coeffs, z)) / scale), key=lambda t: t[1])
-    return best
 
 
 def _max_modulus(

@@ -11,7 +11,9 @@ ranks by integer signatures in the same search and must return the
 same form. ``reference_roots_inside`` is the Schur-Cohn disk test that
 divides every transformed polynomial by the gcd of its coefficients;
 ``roots.roots_inside`` divides exactly by an earlier leading coefficient
-instead and must give the same verdict.
+instead and must give the same verdict. ``colorings_by_inclusion_exclusion``
+counts proper colorings from the independence polynomials of all induced
+subgraphs, with no deletion-contraction and no enumeration of colorings.
 
 The module shares no code with the engines it checks: it reads only the
 vertex count and edge set of the input ``Graph`` (or, for the canonical
@@ -316,3 +318,52 @@ def reference_roots_inside(coefficients: tuple[int, ...], radius) -> bool:
         g = math.gcd(*c)
         c = [x // g for x in c]
     return True
+
+
+# ---------------------------------------------------------------------------
+# Proper colorings by inclusion-exclusion
+# ---------------------------------------------------------------------------
+
+def colorings_by_inclusion_exclusion(g: Graph, qs) -> list[int]:
+    """P(q) for each q in qs, as sum over X of (-1)^(n-|X|) [z^n] I_X(z)^q.
+
+    I_X is the independence polynomial of the subgraph induced on X, so
+    [z^n] I_X^q counts the q-tuples of independent sets in X whose sizes
+    add up to n; inclusion-exclusion keeps the tuples that cover V, which
+    are exactly the proper colorings (Bjorklund, Husfeldt & Koivisto,
+    SIAM J. Comput. 39(2), 2009). I_X = I_(X-v) + z I_(X-N[v]) for the
+    highest vertex v of X, and both sets are below X, so one pass over
+    the subsets in increasing order fills every I_X.
+    """
+    n = g.n
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    indep: list[list[int]] = [[1]]
+    for x in range(1, 1 << n):
+        v = x.bit_length() - 1
+        without, rest = indep[x & ~(1 << v)], indep[x & ~(1 << v) & ~adj[v]]
+        poly = without + [0] * (len(rest) + 1 - len(without))
+        for i, c in enumerate(rest):
+            poly[i + 1] += c
+        indep.append(poly)
+    totals = [0] * (max(qs, default=0) + 1)
+    for x, poly in enumerate(indep):
+        sign = -1 if (n - x.bit_count()) % 2 else 1
+        power = [1]  # I_X^k truncated above z^n
+        for k in range(len(totals)):
+            if k:
+                power = _truncated_product(power, poly, n)
+            if len(power) > n:
+                totals[k] += sign * power[n]
+    return [totals[q] for q in qs]
+
+
+def _truncated_product(a: list[int], b: list[int], n: int) -> list[int]:
+    """a * b (ascending coefficients) without the terms above z^n."""
+    out = [0] * min(len(a) + len(b) - 1, n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: n + 1 - i]):
+            out[i + j] += x * y
+    return out

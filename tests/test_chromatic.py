@@ -11,6 +11,7 @@ from chromabound import (
 )
 from chromabound.chromatic import _edge_bit_masks
 from chromabound.polynomial import X
+from reference_oracles import colorings_by_inclusion_exclusion
 
 
 def test_known_polynomials():
@@ -170,3 +171,28 @@ def test_larger_named_graphs():
     assert pg(2) == 2
     assert pg(1) == 0
     assert pg.degree == 12
+
+
+def _line_graph(g: Graph) -> Graph:
+    """One vertex per edge of g, two adjacent when their edges share an end."""
+    edges = sorted(g.edges)
+    return Graph(
+        len(edges),
+        [(i, j) for j, f in enumerate(edges) for i, e in enumerate(edges[:j]) if set(e) & set(f)],
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_graph("random-regular", n=14, degree=3, seed=1),
+        generate_graph("random-regular", n=13, degree=4, seed=3),
+        # 4-regular with every vertex in two triangles
+        _line_graph(generate_graph("random-regular", n=8, degree=3, seed=1)),
+    ],
+    ids=["random-regular-14-3", "random-regular-13-4", "line-graph-of-cubic-8"],
+)
+def test_polynomial_matches_inclusion_exclusion_past_the_coloring_oracle_cap(g):
+    # count_proper_colorings stops at q^n = 2^20; this oracle has no such cap
+    p = chromatic_polynomial(g)
+    assert [p(q) for q in range(5)] == colorings_by_inclusion_exclusion(g, range(5))

@@ -304,9 +304,21 @@ def test_penrose_report_stops_at_the_state_cap():
         penrose_report(generate_graph("grid", rows=5, cols=5))
 
 
+def test_a_capped_weak_count_leaves_the_penrose_identity_standing(monkeypatch):
+    # At this cap the layering DP finishes on grid 4x4 and the sibling DP
+    # does not; the identity S = -(Penrose count) needs only the former.
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", 50_000)
+    g = generate_graph("grid", rows=4, cols=4)
+    rep = penrose_report(g)
+    assert (rep.s_value, rep.penrose_count, rep.weak_penrose_count) == (-17493, 17493, None)
+    assert rep.tree_count == spanning_tree_count(g)
+
+
 def test_penrose_report_validation_and_json():
-    with pytest.raises(ValueError):
-        PenroseReport(2, 3, 4, 2)
+    for counts in [(2, 3, 4, 2), (2, 3, 4, None), (2, 3, 2, 1)]:
+        with pytest.raises(ValueError):
+            PenroseReport(*counts)
+    assert PenroseReport(2, 3, 2, None).weak_penrose_count is None
     rep = penrose_report(generate_graph("cycle", n=5))
     assert rep == PenroseReport(s_value=4, tree_count=5, penrose_count=4, weak_penrose_count=5)
 
