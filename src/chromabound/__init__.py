@@ -13,15 +13,13 @@ from .bounds import (
     cstar_delta,
     cstar_delta_a_form,
     cstar_graph,
-    cstar_graph_opt,
     cstar_graph_series,
-    fp_parameters,
     graph_id,
     sokal_bound,
     verify_zero_free,
 )
 from .chromatic import chromatic_polynomial, count_proper_colorings
-from .corpus import connected_graphs, corpus_graphs, named_corpus
+from .corpus import connected_graphs, named_corpus
 from .errors import (
     ChromaboundError,
     GraphParseError,
@@ -32,7 +30,6 @@ from .graphs import (
     Graph,
     NeighborhoodProfile,
     canonical_form,
-    enumerate_connected_subsets,
     generate_graph,
     neighborhood_profile,
     parse_graph,
@@ -46,9 +43,7 @@ from .polymer import (
     activity,
     activity_exact,
     check_fp_condition,
-    cq_norm,
     cq_norm_scaled,
-    enumerate_monomers,
     hardcore_partition,
     penrose_report,
     spanning_tree_count,
@@ -93,18 +88,12 @@ __all__ = [
     "complete_graph_bound",
     "connected_graphs",
     "constants",
-    "corpus_graphs",
     "count_proper_colorings",
-    "cq_norm",
     "cq_norm_scaled",
     "cstar_delta",
     "cstar_delta_a_form",
     "cstar_graph",
-    "cstar_graph_opt",
     "cstar_graph_series",
-    "enumerate_connected_subsets",
-    "enumerate_monomers",
-    "fp_parameters",
     "generate_graph",
     "graph_id",
     "hardcore_partition",

@@ -4,10 +4,12 @@ Three nested bounds, each a one-dimensional minimization:
 
   * the classical degree-only bound, minimizing
     e^a (1+a e^{-a})^{1-1/D} / ((1+a e^{-a})^{1/D} - 1) over a > 0;
-  * the improved degree-only bound, minimizing
-    (1+x)^{D-1} / (x (2-(1+x)^D)) over 0 < x < 2^{1/D} - 1;
-  * the per-graph bound, the same shape with the binomials replaced by
-    the graph's neighborhood growth polynomials.
+  * the per-graph bound, minimizing Zt(x) / (x (2 - Z(x))) over
+    0 < x < Z^{-1}(2), with Z and Zt the graph's neighborhood growth
+    polynomials;
+  * the improved degree-only bound, the per-graph bound at the binomial
+    profile Z = (1+x)^D, Zt = (1+x)^{D-1} of a triangle-free
+    neighborhood.
 
 The module also evaluates the per-graph bound a second way, in the a
 variable through the rooted-tree series, whose sum is exact at the
@@ -108,30 +110,32 @@ def _minimize(f, lo: float, hi: float, **kwargs) -> OptimizationResult:
 # Degree-only bounds
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def sokal_bound(delta: int) -> OptimizationResult:
-    """The classical degree-only zero-free radius, by minimization."""
+def _a_form_min(delta: int, w) -> OptimizationResult:
+    """Minimize e^a w^{1-1/delta} / (w^{1/delta} - 1) over 0 < a < 10,
+    with w = w(a)."""
     if delta < 2:
         raise ValueError("delta must be at least 2")
 
     def objective(a: float) -> float:
-        w = 1.0 + a * math.exp(-a)
-        return math.exp(a) * w ** (1.0 - 1.0 / delta) / (w ** (1.0 / delta) - 1.0)
+        wa = w(a)
+        return math.exp(a) * wa ** (1.0 - 1.0 / delta) / (wa ** (1.0 / delta) - 1.0)
 
     return _minimize(objective, 0.0, 10.0)
 
 
 @lru_cache(maxsize=64)
+def sokal_bound(delta: int) -> OptimizationResult:
+    """The classical degree-only zero-free radius, by minimization."""
+    return _a_form_min(delta, lambda a: 1.0 + a * math.exp(-a))
+
+
+@lru_cache(maxsize=64)
 def cstar_delta(delta: int) -> OptimizationResult:
-    """The improved degree-only radius, minimized in the x variable."""
+    """The improved degree-only radius: the per-graph minimization on the
+    binomial profile, that of a triangle-free neighborhood."""
     if delta < 2:
         raise ValueError("delta must be at least 2")
-    hi = 2.0 ** (1.0 / delta) - 1.0
-
-    def objective(x: float) -> float:
-        return (1.0 + x) ** (delta - 1) / (x * (2.0 - (1.0 + x) ** delta))
-
-    return _minimize(objective, 0.0, hi)
+    return _cstar_profile_opt(NeighborhoodProfile.binomial(delta))
 
 
 @lru_cache(maxsize=64)
@@ -141,14 +145,7 @@ def cstar_delta_a_form(delta: int) -> OptimizationResult:
     The substitution 2 - e^{-a} = (1+x)^delta identifies the two
     objectives, so the minima must coincide.
     """
-    if delta < 2:
-        raise ValueError("delta must be at least 2")
-
-    def objective(a: float) -> float:
-        b = 2.0 - math.exp(-a)
-        return math.exp(a) * b ** (1.0 - 1.0 / delta) / (b ** (1.0 / delta) - 1.0)
-
-    return _minimize(objective, 0.0, 10.0)
+    return _a_form_min(delta, lambda a: 2.0 - math.exp(-a))
 
 
 def complete_graph_bound(delta: int) -> float:
@@ -182,13 +179,9 @@ def constants() -> dict[str, float]:
 # Per-graph bound
 # ---------------------------------------------------------------------------
 
-def cstar_graph_opt(g: Graph) -> OptimizationResult:
-    """Minimize zt(x) / (x (2 - z(x))) over 0 < x < z^{-1}(2), where z
-    and zt are the graph's neighborhood growth polynomials."""
-    return _cstar_profile_opt(neighborhood_profile(g))
-
-
 def _cstar_profile_opt(prof: NeighborhoodProfile) -> OptimizationResult:
+    """Minimize Zt(x) / (x (2 - Z(x))) over 0 < x < Z^{-1}(2), where Z and
+    Zt are the profile's neighborhood growth polynomials."""
     z = prof.z_polynomial()
     zt = prof.z_tilde_polynomial()
     x_max = bisect_increasing(z, 2.0, 0.0)
@@ -220,14 +213,6 @@ def cstar_graph(g: Graph) -> BoundReport:
         c_star_delta=cstar_delta(ref_delta).value,
         c_star_graph=c_graph,
     )
-
-
-def fp_parameters(g: Graph) -> tuple[float, float]:
-    """The pair (a, x): x minimizes the per-graph objective and
-    a = -ln(2 - z(x)) is the matching convergence-check parameter."""
-    prof = neighborhood_profile(g)
-    x = _cstar_profile_opt(prof).argmin
-    return -math.log(2.0 - prof.z_polynomial()(x)), x
 
 
 def cstar_graph_series(g: Graph | NeighborhoodProfile, order: int = 64) -> float:

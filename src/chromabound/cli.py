@@ -37,8 +37,7 @@ from .bounds import (
 )
 from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
 from .errors import ChromaboundError, ResourceLimitError
-from .graphs import Graph, generate_graph, neighborhood_profile, parse_graph
-from .polynomial import IntPolynomial
+from .graphs import Graph, NeighborhoodProfile, generate_graph, neighborhood_profile, parse_graph
 from .polymer import (
     _DP_STATE_CAP,
     check_fp_condition,
@@ -335,9 +334,8 @@ def _cmd_series(args, parser) -> int:
         if args.delta < 1:
             parser.error("--delta must be at least 1")
         series = t_n_delta(args.delta, args.order)
-        one_plus = IntPolynomial([1, 1])
-        z = one_plus ** args.delta
-        zt = one_plus ** (args.delta - 1)
+        prof = NeighborhoodProfile.binomial(args.delta)
+        z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
         source = f"delta-{args.delta}"
     radius, u0 = series_radius(zt)
     coefficients = [str(c) for c in series.coefficients]

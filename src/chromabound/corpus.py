@@ -134,12 +134,6 @@ def _new_vertex_is_maximal(masks: tuple[int, ...], pieces: list[list[int]]) -> b
     return True
 
 
-def corpus_graphs(max_n: int):
-    """All connected graphs with at most max_n vertices, smallest first."""
-    for n in range(1, max_n + 1):
-        yield from connected_graphs(n)
-
-
 def named_corpus() -> list[tuple[str, Graph]]:
     """Hand-picked larger instances exercising every generator family."""
     return [

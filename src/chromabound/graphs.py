@@ -516,6 +516,12 @@ class NeighborhoodProfile:
         if any(x < 0 for x in self.t) or any(x < 0 for x in self.t_tilde):
             raise ValueError("profile counts must be non-negative")
 
+    @classmethod
+    def binomial(cls, delta: int) -> "NeighborhoodProfile":
+        """The triangle-free profile: Z(u) = (1+u)^delta, Z~(u) = (1+u)^(delta-1)."""
+        t = tuple(comb(delta, k) for k in range(1, delta + 1))
+        return cls(delta, t, tuple(comb(delta - 1, k) for k in range(1, delta)))
+
     def z_polynomial(self) -> IntPolynomial:
         """Z(u) = 1 + sum_k t_k u^k."""
         return IntPolynomial((1,) + self.t)
@@ -523,12 +529,6 @@ class NeighborhoodProfile:
     def z_tilde_polynomial(self) -> IntPolynomial:
         """Z~(u) = 1 + sum_k t~_k u^k."""
         return IntPolynomial((1,) + self.t_tilde)
-
-    def is_binomial(self) -> bool:
-        """True when both vectors attain their binomial upper bounds."""
-        return self.t == tuple(comb(self.delta, k) for k in range(1, self.delta + 1)) and (
-            self.t_tilde == tuple(comb(self.delta - 1, k) for k in range(1, self.delta))
-        )
 
     def to_json(self) -> dict:
         return {
@@ -622,14 +622,3 @@ def _connected_sets_masks(
             forb |= b
 
     yield from rec(1 << v0, 1, masks[v0] & allowed, 0)
-
-
-def enumerate_connected_subsets(g: Graph, v0: int, n: int) -> Iterator[frozenset]:
-    """All vertex sets of size n that contain v0 and induce a connected subgraph."""
-    if not 0 <= v0 < g.n:
-        raise ValueError(f"vertex {v0} out of range")
-    if n < 1:
-        raise ValueError("subset size must be >= 1")
-    full = (1 << g.n) - 1
-    for mask in _connected_sets_masks(g.adjacency_masks, v0, full, n, n):
-        yield frozenset(_mask_bits(mask))

@@ -22,7 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .chromatic import _chrom
 from .errors import ResourceLimitError
@@ -150,16 +149,6 @@ def activity(g: Graph, m: Monomer, q):
     if isinstance(q, (int, Fraction)):
         return Fraction(s) / Fraction(q) ** power
     return s / q ** power
-
-
-def enumerate_monomers(g: Graph) -> Iterator[Monomer]:
-    """All monomers of g, each exactly once: by lowest vertex v, the
-    connected sets of v and the vertices above it."""
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        allowed = full & ~((1 << v) - 1)
-        for mask in _connected_sets_masks(g.adjacency_masks, v, allowed, 2, g.n):
-            yield Monomer(_mask_bits(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +434,6 @@ def _scaled(k: int, q: float, e: int, log_factor: float = 0.0) -> float:
         log_value = log_factor + math.log(k) - e * math.log(q)
         value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
     return value
-
-
-def cq_norm(g: Graph, n: int, q: float) -> float:
-    """max over vertices of the summed activity magnitudes at size n."""
-    if not 0 < q < math.inf:
-        raise ValueError("q must be positive and finite")
-    return _scaled(cq_norm_scaled(g, n), q, n - 1)
 
 
 @dataclass(frozen=True)

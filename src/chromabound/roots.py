@@ -186,12 +186,17 @@ def _max_modulus(
     exact: list[int], layers: list[list[int]], approx: list[list[complex]]
 ) -> float:
     """Certified largest modulus over the integer roots and those of the
-    layers; the first layer holds every other root once."""
+    layers; the first layer holds every other root once. A float estimate
+    that is not finite gives way to Fujiwara's bound 2 max_k |a_{n-k}/a_n|^{1/k}."""
     top = max((abs(k) for k in exact), default=0)
     if not layers:
         return float(top)
-    seed = max(abs(z) for z in approx[0]) or 1.0
     free = IntPolynomial(layers[0])
+    seed = max(abs(z) for z in approx[0]) or 1.0
+    if not math.isfinite(seed):
+        a, n = free.coefficients, free.degree
+        logs = [(math.log(abs(a[k])) - math.log(abs(a[n]))) / (n - k) for k in range(n) if a[k]]
+        seed = 2 * math.exp(max(logs))
     if top >= seed * (1 + _CERT_REL) and roots_inside(free, top):
         return float(top)
     return max(float(top), _certified_radius(free, seed))

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .graphs import NeighborhoodProfile
 from .optimize import bisect_increasing
 from .polynomial import IntPolynomial
 
@@ -101,11 +102,8 @@ def t_n_delta(delta: int, order: int) -> TruncatedSeries:
     the number of n-vertex rooted subtrees of the infinite delta-regular
     tree containing the root.
     """
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
-    one_plus = IntPolynomial([1, 1])
-    _, tbar = solve_tree_series(one_plus ** (delta - 1), one_plus ** delta, order)
-    return tbar
+    prof = NeighborhoodProfile.binomial(delta)
+    return solve_tree_series(prof.z_tilde_polynomial(), prof.z_polynomial(), order)[1]
 
 
 def series_radius(z_tilde: IntPolynomial) -> tuple[float, float]:

@@ -19,9 +19,7 @@ from chromabound import (
     cstar_delta,
     cstar_delta_a_form,
     cstar_graph,
-    cstar_graph_opt,
     cstar_graph_series,
-    fp_parameters,
     generate_graph,
     graph_id,
     named_corpus,
@@ -80,12 +78,15 @@ def test_constants():
 
 
 def test_per_graph_bound_triangle_free_matches_degree_bound():
-    # A binomial profile reproduces the degree-only optimization.
-    for g in (generate_graph("petersen"), generate_graph("cycle", n=8)):
+    # A binomial profile is the degree-only optimization itself.
+    for g in (
+        generate_graph("petersen"),
+        generate_graph("cycle", n=8),
+        generate_graph("grid", rows=4, cols=4),
+    ):
         rep = cstar_graph(g)
-        assert rep.c_star_graph == pytest.approx(
-            cstar_delta(g.max_degree).value, rel=1e-9
-        )
+        assert rep.profile == NeighborhoodProfile.binomial(g.max_degree)
+        assert rep.c_star_graph == rep.c_star_delta
 
 
 def test_per_graph_bound_complete_graphs():
@@ -117,7 +118,7 @@ def test_per_graph_bound_degenerate_cases():
 def test_opt_result_geometry():
     g = generate_graph("complete", n=4)
     prof = neighborhood_profile(g)
-    opt = cstar_graph_opt(g)
+    opt = bounds._cstar_profile_opt(prof)
     z = prof.z_polynomial()
     assert 0 < opt.argmin
     assert z(opt.argmin) < 2.0
@@ -125,14 +126,17 @@ def test_opt_result_geometry():
 
 
 def test_fp_parameters_satisfy_condition_above_bound():
-    # At any q above the per-graph bound the optimizing (a, x) pair
-    # must make the convergence inequality hold.
+    # At any q above the per-graph bound the optimizing (a, x) pair must
+    # make the convergence inequality hold: x minimizes the per-graph
+    # objective and a = -ln(2 - Z(x)) is the matching parameter.
     for g in (
         generate_graph("complete", n=3),
         generate_graph("cycle", n=5),
         generate_graph("complete", n=5),
     ):
-        a, x = fp_parameters(g)
+        prof = neighborhood_profile(g)
+        x = bounds._cstar_profile_opt(prof).argmin
+        a = -math.log(2.0 - prof.z_polynomial()(x))
         assert a > 0 and x > 0
         q = cstar_graph(g).c_star_graph * 1.05
         # The geometric tail certificate dies off slowly this close to
@@ -288,7 +292,7 @@ def test_minimization_that_misses_its_tolerance_is_inconclusive(monkeypatch):
             lambda: cstar_delta(3),
             lambda: cstar_delta_a_form(3),
             constants,
-            lambda: cstar_graph_opt(g),
+            lambda: bounds._cstar_profile_opt(neighborhood_profile(g)),
             lambda: cstar_graph_series(g, 16),
         ):
             with pytest.raises(InconclusiveError, match="missed its tolerance"):

@@ -12,7 +12,6 @@ from chromabound import (
     ResourceLimitError,
     canonical_form,
     connected_graphs,
-    corpus_graphs,
     graph_id,
     named_corpus,
 )
@@ -49,7 +48,6 @@ def test_level_order_is_deterministic():
 
 
 def test_corpus_iterator_is_cumulative():
-    assert len(list(corpus_graphs(5))) == sum(_COUNTS[n] for n in range(1, 6))
     with pytest.raises(ValueError):
         connected_graphs(0)
 

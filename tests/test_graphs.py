@@ -16,13 +16,13 @@ from chromabound import (
     Graph,
     GraphParseError,
     canonical_form,
+    NeighborhoodProfile,
     connected_graphs,
-    enumerate_connected_subsets,
     generate_graph,
     neighborhood_profile,
     parse_graph,
 )
-from chromabound.graphs import _canonical_masks
+from chromabound.graphs import _canonical_masks, _connected_sets_masks
 from reference_oracles import reference_canonical_masks
 
 
@@ -356,7 +356,7 @@ def test_profile_complete_graph():
     assert prof.delta == 4
     assert prof.t == (4, 0, 0, 0)
     assert prof.t_tilde == (3, 0, 0)
-    assert not prof.is_binomial()
+    assert prof != NeighborhoodProfile.binomial(4)
     z = prof.z_polynomial()
     zt = prof.z_tilde_polynomial()
     assert z.coefficients == (1, 4)
@@ -368,7 +368,7 @@ def test_profile_triangle_free_is_binomial():
     assert prof.delta == 3
     assert prof.t == (3, 3, 1)
     assert prof.t_tilde == (2, 1)
-    assert prof.is_binomial()
+    assert prof == NeighborhoodProfile.binomial(3)
 
 
 def test_profile_star():
@@ -376,7 +376,7 @@ def test_profile_star():
     assert prof.delta == 4
     # The hub sees 4 pairwise nonadjacent leaves.
     assert prof.t == (4, 6, 4, 1)
-    assert prof.is_binomial()
+    assert prof == NeighborhoodProfile.binomial(4)
 
 
 def _independent_count(g, pool, k):
@@ -414,7 +414,7 @@ def test_profile_of_a_large_star_is_fast_and_binomial():
     assert time.perf_counter() - start < 1.0
     assert prof.delta == 40
     assert prof.t == tuple(comb(40, k) for k in range(1, 41))
-    assert prof.is_binomial()
+    assert prof == NeighborhoodProfile.binomial(40)
 
 
 def test_profile_rejects_edgeless():
@@ -430,13 +430,12 @@ def test_profile_json_shape():
 
 
 def _connected_subsets_brute(g, v0, k):
-    from itertools import combinations
-
+    """Masks of the k-vertex sets holding v0 that induce a connected graph."""
     found = set()
     for rest in combinations([v for v in range(g.n) if v != v0], k - 1):
-        sub = frozenset(rest) | {v0}
+        sub = (v0, *rest)
         if g.induced(sorted(sub)).is_connected():
-            found.add(sub)
+            found.add(sum(1 << v for v in sub))
     return found
 
 
@@ -452,13 +451,14 @@ def test_connected_subset_enumeration_matches_brute_force():
         ]
         g = Graph(n, edges)
         for k in range(1, min(5, n) + 1):
-            got = set(enumerate_connected_subsets(g, 0, k))
-            assert got == _connected_subsets_brute(g, 0, k)
+            got = list(_connected_sets_masks(g.adjacency_masks, 0, (1 << n) - 1, k, k))
+            assert len(got) == len(set(got))
+            assert set(got) == _connected_subsets_brute(g, 0, k)
 
 
 def test_connected_subsets_exact_size_only():
     g = generate_graph("path", n=5)
-    sizes = {len(s) for s in enumerate_connected_subsets(g, 2, 3)}
-    assert sizes == {3}
+    sets = list(_connected_sets_masks(g.adjacency_masks, 2, (1 << g.n) - 1, 3, 3))
+    assert {s.bit_count() for s in sets} == {3}
     # On a path, a connected set containing vertex 2 is an interval.
-    assert len(list(enumerate_connected_subsets(g, 2, 3))) == 3
+    assert len(sets) == 3

@@ -18,10 +18,7 @@ from chromabound import (
     check_fp_condition,
     chromatic_polynomial,
     connected_graphs,
-    cq_norm,
     cq_norm_scaled,
-    enumerate_connected_subsets,
-    enumerate_monomers,
     generate_graph,
     hardcore_partition,
     named_corpus,
@@ -30,6 +27,7 @@ from chromabound import (
     verify_cn_bound,
 )
 from chromabound import polymer
+from chromabound.graphs import _connected_sets_masks
 from reference_oracles import (
     EnumerationCapError,
     RootedSpanningTree,
@@ -112,21 +110,23 @@ def test_activity_rejects_disconnected_support():
 
 
 def test_enumerate_monomers():
-    k3 = generate_graph("complete", n=3)
-    assert len(list(enumerate_monomers(k3))) == 4
-    p4 = generate_graph("path", n=4)
+    # The monomers are the connected sets of two or more vertices.
+    def monomer_count(g):
+        return sum(mask.bit_count() >= 2 for mask in polymer._s_table(g.adjacency_masks, g.n))
+
+    assert monomer_count(generate_graph("complete", n=3)) == 4
     # Connected subsets of a path are the intervals.
-    assert len(list(enumerate_monomers(p4))) == 6
+    assert monomer_count(generate_graph("path", n=4)) == 6
 
 
 def _connected_masks(g: Graph) -> dict[int, int]:
     """Every connected vertex set of g, as a mask, with its size."""
-    out = {}
-    for x in range(g.n):
-        for size in range(1, g.n + 1):
-            for s in enumerate_connected_subsets(g, x, size):
-                out[sum(1 << v for v in s)] = size
-    return out
+    full = (1 << g.n) - 1
+    return {
+        mask: mask.bit_count()
+        for x in range(g.n)
+        for mask in _connected_sets_masks(g.adjacency_masks, x, full, 1, g.n)
+    }
 
 
 def test_s_table_matches_deletion_contraction():
@@ -338,8 +338,17 @@ def test_partition_identity_connected():
 def test_chrom_cache_is_emptied_past_its_cap(monkeypatch):
     g = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])  # K4,4
 
+    # every monomer once: by lowest vertex v, the connected sets of v and
+    # the vertices above it
+    full = (1 << g.n) - 1
+    monomers = [
+        Monomer(v for v in range(g.n) if mask >> v & 1)
+        for low in range(g.n)
+        for mask in _connected_sets_masks(g.adjacency_masks, low, full & ~((1 << low) - 1), 2, g.n)
+    ]
+
     def activities():
-        return [activity(g, m, 5) for m in enumerate_monomers(g)]
+        return [activity(g, m, 5) for m in monomers]
 
     polymer._CHROM_CACHE.clear()
     uncapped = activities()
@@ -435,11 +444,11 @@ def test_cq_norm_values():
     k3 = generate_graph("complete", n=3)
     assert cq_norm_scaled(k3, 2) == 2
     assert cq_norm_scaled(k3, 3) == 2
-    assert cq_norm(k3, 3, 11.0) == pytest.approx(2.0 / 121.0)
+    assert verify_cn_bound(k3, 3, 11.0).lhs == pytest.approx(2.0 / 121.0)
     with pytest.raises(ValueError):
         cq_norm_scaled(k3, 1)
     with pytest.raises(ValueError):
-        cq_norm(k3, 2, 0.0)
+        verify_cn_bound(k3, 2, 0.0)
 
 
 def test_cq_norm_matches_per_vertex_signed_sums():
@@ -449,8 +458,8 @@ def test_cq_norm_matches_per_vertex_signed_sums():
             for n in range(2, g.n + 1):
                 want = max(
                     sum(
-                        abs(signed_connected_sum(g.induced(s)))
-                        for s in enumerate_connected_subsets(g, x, n)
+                        abs(signed_connected_sum(g.induced(v for v in range(g.n) if s >> v & 1)))
+                        for s in _connected_sets_masks(g.adjacency_masks, x, (1 << g.n) - 1, n, n)
                     )
                     for x in range(g.n)
                 )
@@ -473,7 +482,7 @@ def test_activity_floats_saturate_where_q_powers_leave_the_float_range():
     assert tiny.holds and tiny.lhs == tiny.rhs == math.inf
     huge = verify_cn_bound(k3, 3, 1e200)
     assert huge.holds and huge.lhs == huge.rhs == 0.0
-    assert cq_norm(k3, 3, 1e300) == 0.0
+    assert verify_cn_bound(k3, 3, 1e300).lhs == 0.0
     # e^{1+a} overflows, yet e^{1+a} * Delta / q is finite
     rep = check_fp_condition(k3, 1e300, 709.0, 8)
     assert rep.geometric_ratio == pytest.approx(2.0 * math.exp(710.0 - 300.0 * math.log(10.0)))

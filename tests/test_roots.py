@@ -182,6 +182,23 @@ def test_max_modulus_bounds_every_root(factors):
     assert m == pytest.approx(true, rel=1e-9, abs=1e-300)
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        [5, 2 * 10**200, 1],
+        [7, 3 * 10**150, 10**160, 2],
+        [1, 0, 0, 10**250, 3],
+    ],
+)
+def test_max_modulus_is_certified_where_the_float_step_overflows(coefficients):
+    # The Aberth estimate is not finite here; the disk tests start from
+    # Fujiwara's bound instead.
+    p = IntPolynomial(coefficients)
+    m = polynomial_roots(p).max_modulus
+    assert roots_inside(p, m)
+    assert not roots_inside(p, m * (1 - 4e-10))
+
+
 def test_degenerate_inputs():
     with pytest.raises(ValueError):
         polynomial_roots(IntPolynomial([0]))
