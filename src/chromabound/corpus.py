@@ -103,9 +103,7 @@ def _build_level(n: int) -> tuple[Graph, ...]:
 
 def _pieces_without(masks: tuple[int, ...], v: int) -> list[int]:
     """Vertex masks of the components left when v is removed."""
-    keep = ~(1 << v)
-    rest = tuple(0 if u == v else m & keep for u, m in enumerate(masks))
-    return [c for c in _components_masks(rest) if c != 1 << v]
+    return _components_masks(masks, ~(1 << v))
 
 
 def _new_vertex_is_maximal(masks: tuple[int, ...], pieces: list[list[int]]) -> bool:

@@ -153,23 +153,23 @@ def _induced_masks(masks: tuple[int, ...], vert_mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _components_masks(masks: tuple[int, ...]) -> list[int]:
-    """Connected components of a bitmask adjacency, as vertex masks."""
-    n = len(masks)
-    seen = 0
+def _components_masks(masks: tuple[int, ...], within: int = -1) -> list[int]:
+    """Connected components of a bitmask adjacency, or of the subgraph it
+    induces on the vertex mask ``within``, as vertex masks in order of
+    their lowest vertex."""
+    within &= (1 << len(masks)) - 1
     out = []
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
+    while within:
+        comp = frontier = within & -within
         while frontier:
-            nxt = 0
-            for u in _mask_bits(frontier):
-                nxt |= masks[u]
-            frontier = nxt & ~comp
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= masks[b.bit_length() - 1]
+                frontier ^= b
+            frontier = reach & within & ~comp
             comp |= frontier
-        seen |= comp
+        within ^= comp
         out.append(comp)
     return out
 
@@ -189,7 +189,11 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     the ones a tuple-ranking refinement gives. Branching is restricted
     to one representative per group of interchangeable vertices
     (identical neighborhoods after ignoring each other), which keeps
-    complete and complete-multipartite graphs linear.
+    complete and complete-multipartite graphs linear, and is pruned by
+    automorphism orbits: two leaves with one form give an automorphism,
+    and a branch in the orbit of one already explored is skipped. A
+    skipped branch reaches the forms of an explored one, so the forms
+    are those of the unpruned search.
     """
     return _canonical_masks(g.adjacency_masks)
 
@@ -215,6 +219,20 @@ def _canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
     # carries and the smallest colour is the top digit. Descending
     # signatures are therefore ascending tuples, and every cell, leaf and
     # form is the one a ranking of (colour, sorted tuple) would give.
+    #
+    # Automorphism pruning (McKay, J. Algorithms 26, 1998). Refinement and
+    # the cell choice commute with automorphisms, so an automorphism that
+    # fixes a node's individualized vertices maps the branch of v onto the
+    # branch of its image, leaves and forms alike. A leaf whose form equals
+    # the best one yields such a map, from its labelling to the best
+    # leaf's; it fixes the vertices the two paths share and sends this
+    # path's next vertex to one whose branch is done, so the search
+    # returns to the node where the paths part. Each node then skips a
+    # vertex in the orbit of one it tried, under the automorphisms found
+    # that fix its path. A skipped branch holds the forms of a tried one,
+    # so the least form is the one the full search gives.
+    #
+    # search(cells, path) returns the depth of the node to resume at.
     n = len(masks)
     if n <= 1:
         return tuple(masks)
@@ -225,9 +243,12 @@ def _canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
     base = max(by_degree) + 1
     weights = [base ** (n - 1 - c) for c in range(n)]
     best: tuple[int, ...] | None = None
+    best_cells: list[list[int]] = []  # the best leaf
+    best_path: list[int] = []  # the vertices individualized on its way
+    autos: list[list[int]] = []  # automorphisms found, as lists of images
 
-    def search(cells: list[list[int]]) -> None:
-        nonlocal best
+    def search(cells: list[list[int]], path: list[int]) -> int:
+        nonlocal best, best_cells, best_path
         weight = [0] * n
         while True:
             for cell, w in zip(cells, weights):
@@ -255,8 +276,17 @@ def _canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
                 bit[v] = 1 << i
             cand = tuple([sum(map(bit.__getitem__, nbrs[v])) for v, in cells])
             if best is None or cand < best:
-                best = cand
-            return
+                best, best_cells, best_path = cand, cells, path
+            elif cand == best:
+                image = [0] * n
+                for (v,), (w,) in zip(cells, best_cells):
+                    image[v] = w
+                autos.append(image)
+                depth = 0
+                while path[depth] == best_path[depth]:
+                    depth += 1
+                return depth
+            return len(path)
         # invariant cell choice: smallest non-singleton cell, then the
         # lowest colour; each branch individualizes one of its vertices
         at, size = 0, n + 1
@@ -264,14 +294,34 @@ def _canonical_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
             if 1 < len(cell) < size:
                 at, size = i, len(cell)
         cell = cells[at]
+        depth = len(path)
         tried: list[int] = []
+        done = 0  # the tried vertices, as a mask
+        orbit: dict[int, int] = {}  # v -> mask of its orbit in the cell
+        used = 0
         for v in cell:
-            if any(_interchangeable(masks, v, u) for u in tried):
+            while used < len(autos):
+                image = autos[used]
+                used += 1
+                if any(image[u] != u for u in path):
+                    continue
+                # it maps the cell onto itself; join its cycles
+                for u in cell:
+                    a, b = orbit.get(u, 1 << u), orbit.get(image[u], 1 << image[u])
+                    if a != b:
+                        joined = a | b
+                        for x in _mask_bits(joined):
+                            orbit[x] = joined
+            if orbit and orbit.get(v, 0) & done or any(_interchangeable(masks, v, u) for u in tried):
                 continue
             tried.append(v)
-            search(cells[:at] + [[v], [u for u in cell if u != v]] + cells[at + 1:])
+            done |= 1 << v
+            back = search(cells[:at] + [[v], [u for u in cell if u != v]] + cells[at + 1:], path + [v])
+            if back < depth:
+                return back
+        return depth
 
-    search([by_degree[d] for d in sorted(by_degree)])
+    search([by_degree[d] for d in sorted(by_degree)], [])
     return best
 
 
@@ -586,39 +636,3 @@ def neighborhood_profile(g: Graph) -> NeighborhoodProfile:
             for k, c in enumerate(reduced):
                 t_tilde[k] = max(t_tilde[k], c)
     return NeighborhoodProfile(delta=delta, t=tuple(t[1:]), t_tilde=tuple(t_tilde[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Connected subset enumeration
-# ---------------------------------------------------------------------------
-
-def _connected_sets_masks(
-    masks: tuple[int, ...],
-    v0: int,
-    allowed: int,
-    min_size: int,
-    max_size: int,
-) -> Iterator[int]:
-    """Yield each connected vertex set containing v0 within ``allowed`` exactly once.
-
-    Binary decision scheme: the lowest-labeled extension vertex is either
-    added (bringing its fresh neighbors into the extension) or excluded
-    for good, so every set arises along exactly one decision path.
-    """
-    if not (allowed >> v0) & 1 or min_size > max_size:
-        return
-
-    def rec(sub: int, size: int, ext: int, forb: int) -> Iterator[int]:
-        if size >= min_size:
-            yield sub
-        if size >= max_size:
-            return
-        while ext:
-            b = ext & -ext
-            ext ^= b
-            w = b.bit_length() - 1
-            grown = masks[w] & allowed & ~(sub | forb | ext | b)
-            yield from rec(sub | b, size + 1, ext | grown, forb)
-            forb |= b
-
-    yield from rec(1 << v0, 1, masks[v0] & allowed, 0)

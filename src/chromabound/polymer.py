@@ -9,7 +9,10 @@ of every connected set of a graph at once comes from one subset
 recursion, the exponential formula solved at each set's lowest vertex.
 The module counts the rooted spanning trees that meet the generation
 conditions under which the signed sum collapses to a single count, by
-subset DPs over layerings and sibling-free forests. It also evaluates
+subset DPs over layerings and sibling-free forests. Both DPs multiply
+out over the components of the vertices still to place, and the forest
+DP picks its roots before the blocks they span, which carries them to
+16-18-vertex graphs within their state cap. It also evaluates
 the exact hard-core partition function and checks the fixed-point
 convergence inequality with a certified geometric tail. The tests hold
 S and both tree counts to brute-force oracles of their own: an
@@ -28,7 +31,6 @@ from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     _components_masks,
-    _connected_sets_masks,
     _induced_masks,
     _mask_bits,
     neighborhood_profile,
@@ -221,7 +223,10 @@ def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
     counts the layerings of the unplaced vertices ``rest`` whose next
     generation is drawn from ``cand``, the unplaced neighbours of the
     last one. A candidate with no unplaced neighbour has no later parent,
-    so it joins the next generation.
+    so it joins the next generation. No host edge leaves a component of
+    the unplaced vertices, so each component is layered on its own, from
+    its own candidates, and the count is the product over components;
+    a component without a candidate is never reached and gives 0.
     """
     n = len(masks)
     memo: dict[int, int] = {}
@@ -229,12 +234,19 @@ def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
 
     def count(rest: int, cand: int) -> int:
         nonlocal steps
-        if not rest:
-            return 1
         key = rest | cand << n
         hit = memo.get(key)
         if hit is not None:
             return hit
+        comps = _components_masks(masks, rest)
+        if len(comps) > 1:
+            total = 1
+            for comp in comps:
+                total *= count(comp, cand & comp) if cand & comp else 0
+                if not total:
+                    break
+            memo[key] = total
+            return total
         forced = 0
         for v in _mask_bits(cand):
             if not masks[v] & rest:
@@ -265,7 +277,7 @@ def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
         return total
 
     try:
-        return count(rest, masks[0] & rest)
+        return count(rest, masks[0] & rest) if rest else 1
     finally:
         memo.clear()
 
@@ -275,12 +287,14 @@ def _sibling_free_trees(masks: tuple[int, ...], rest: int) -> int:
     joins two children of one parent (the weakly Penrose trees).
 
     ``count(rest, roots)`` counts the forests that cover ``rest`` with
-    pairwise non-adjacent roots drawn from ``roots``, each tree again
-    sibling-free; the trees hung from v are such a forest on its
-    descendants with roots in N(v). The block holding the lowest vertex
-    of ``rest`` is a connected set with one root a, which splits the
-    count into the trees below a and a forest on the rest whose roots
-    avoid N(a).
+    exactly the roots ``roots``, pairwise non-adjacent, each tree again
+    sibling-free. A tree lies within one component of ``rest``, so the
+    count is the product over the components, and a component without a
+    root gives 0. On one component, a single root a has as children a
+    nonempty independent set C of its neighbours, and the trees below
+    them are a forest on the rest with exactly the roots C. With more
+    roots, the tree of the lowest root a is a connected block that holds
+    no other root, and the other roots cover what it leaves.
     """
     n = len(masks)
     memo: dict[int, int] = {}
@@ -288,32 +302,72 @@ def _sibling_free_trees(masks: tuple[int, ...], rest: int) -> int:
 
     def count(rest: int, roots: int) -> int:
         nonlocal steps
-        if not rest:
-            return 1
         key = rest | roots << n
         hit = memo.get(key)
         if hit is not None:
             return hit
+        comps = _components_masks(masks, rest)
+        if len(comps) > 1:
+            total = 1
+            for comp in comps:
+                total *= count(comp, roots & comp) if roots & comp else 0
+                if not total:
+                    break
+            memo[key] = total
+            return total
+        low = roots & -roots
+        others = roots ^ low
         total = 0
-        low = (rest & -rest).bit_length() - 1
-        for block in _connected_sets_masks(masks, low, rest, 1, n):
-            steps += 1
-            if steps > _DP_STATE_CAP:
-                raise _state_cap_error("weakly Penrose")
-            left = rest & ~block
-            for a in _mask_bits(block & roots):
-                others = roots & left & ~masks[a]
-                if left and not others:
-                    continue
-                inner = block & ~(1 << a)
-                below = count(inner, masks[a] & inner)
-                if below:
-                    total += below * count(left, others)
+        if not others:
+            inner = rest ^ low
+            if not inner:
+                return 1
+            # the children: a nonempty independent set of neighbours in
+            # each component of what is left, whose forests multiply
+            total = 1
+            for comp in _components_masks(masks, inner):
+                part = 0
+                stack = [(0, masks[low.bit_length() - 1] & comp)]
+                while stack:
+                    chosen, free = stack.pop()
+                    if free:
+                        b = free & -free
+                        stack.append((chosen, free ^ b))
+                        stack.append((chosen | b, free & ~b & ~masks[b.bit_length() - 1]))
+                        continue
+                    if chosen:
+                        steps += 1
+                        if steps > _DP_STATE_CAP:
+                            raise _state_cap_error("weakly Penrose")
+                        part += count(comp, chosen)
+                total *= part
+                if not total:
+                    break
+        else:
+            # the connected blocks holding a and no other root, each once:
+            # the lowest vertex of ext is either added, bringing its new
+            # neighbours into ext, or left out of the block for good
+            allowed = rest & ~others
+            stack = [(low, masks[low.bit_length() - 1] & allowed, 0)]
+            while stack:
+                block, ext, out = stack.pop()
+                steps += 1
+                if steps > _DP_STATE_CAP:
+                    raise _state_cap_error("weakly Penrose")
+                forest = count(rest & ~block, others)
+                if forest:
+                    total += forest * count(block, low)
+                while ext:
+                    b = ext & -ext
+                    ext ^= b
+                    grown = masks[b.bit_length() - 1] & allowed & ~(block | out | ext | b)
+                    stack.append((block | b, ext | grown, out))
+                    out |= b
         memo[key] = total
         return total
 
     try:
-        return count(rest, masks[0] & rest)
+        return count(rest | 1, 1)
     finally:
         memo.clear()
 

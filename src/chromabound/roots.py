@@ -9,7 +9,9 @@ sees is simple. The Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
 that rounds to an integer root is divided out exactly too. No numpy is
 involved. Only the largest modulus is certified: an exact integer root,
 or a radius the disk test passed, within 1e-9 relative of the exact
-value. The non-integer roots are uncertified approximations.
+value. The non-integer roots are uncertified approximations; where the
+float step overflows they are NaN, and the disk tests bracket the largest
+modulus in exact rationals.
 """
 
 from __future__ import annotations
@@ -154,21 +156,25 @@ def _aberth_roots(coeffs: list[int]) -> list[complex]:
     radius = abs(_horner(a, centre)[0] / a[0]) ** (1 / n) or 1.0
     z = [centre + radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     moving = list(range(n))
-    for _ in range(_ABERTH_STEPS):
-        if not moving:
-            break
-        still = []
-        for i in moving:
-            zi = z[i]
-            value, slope, bound = _horner(a, zi)
-            if abs(value) <= _EPS * bound:
-                continue
-            still.append(i)
-            pull = sum(1 / (zi - zj) for zj in z if zj != zi)
-            denominator = slope - value * pull
-            if denominator:
-                z[i] = zi - value / denominator
-        moving = still
+    try:
+        for _ in range(_ABERTH_STEPS):
+            if not moving:
+                break
+            still = []
+            for i in moving:
+                zi = z[i]
+                value, slope, bound = _horner(a, zi)
+                if abs(value) <= _EPS * bound:
+                    continue
+                still.append(i)
+                pull = sum(1 / (zi - zj) for zj in z if zj != zi)
+                denominator = slope - value * pull
+                if denominator:
+                    z[i] = zi - value / denominator
+            moving = still
+    except OverflowError:
+        # |p(z)| left the float range: no estimate
+        return [complex(math.nan, math.nan)] * n
     return z
 
 
@@ -187,16 +193,17 @@ def _max_modulus(
 ) -> float:
     """Certified largest modulus over the integer roots and those of the
     layers; the first layer holds every other root once. A float estimate
-    that is not finite gives way to Fujiwara's bound 2 max_k |a_{n-k}/a_n|^{1/k}."""
+    that is not finite gives way to an exact bracket (``_rational_radius``)."""
     top = max((abs(k) for k in exact), default=0)
     if not layers:
         return float(top)
     free = IntPolynomial(layers[0])
-    seed = max(abs(z) for z in approx[0]) or 1.0
+    try:
+        seed = max(abs(z) for z in approx[0]) or 1.0
+    except OverflowError:  # some |z| is past the float range
+        seed = math.inf
     if not math.isfinite(seed):
-        a, n = free.coefficients, free.degree
-        logs = [(math.log(abs(a[k])) - math.log(abs(a[n]))) / (n - k) for k in range(n) if a[k]]
-        seed = 2 * math.exp(max(logs))
+        return max(float(top), _rational_radius(free))
     if top >= seed * (1 + _CERT_REL) and roots_inside(free, top):
         return float(top)
     return max(float(top), _certified_radius(free, seed))
@@ -214,6 +221,30 @@ def _certified_radius(p: IntPolynomial, guess: float) -> float:
         mid = (lo + hi) / 2
         lo, hi = (lo, mid) if roots_inside(p, mid) else (mid, hi)
     return hi
+
+
+def _rational_radius(p: IntPolynomial) -> float:
+    """``_certified_radius`` without a float estimate, in exact rationals.
+
+    Every root has |q| <= 2 max_k |a_{n-k}/a_n|^{1/k} (Fujiwara), and
+    |a_{n-k}/a_n| < 2^(bits(a_{n-k}) - bits(a_n) + 1), so a power of two
+    bounds the roots. Halving and bisection then narrow the bracket, and
+    its upper end is rounded up to a float. A largest modulus beyond the
+    float range raises ``OverflowError``.
+    """
+    a, n = p.coefficients, p.degree
+    bits = abs(a[n]).bit_length()
+    e = max(-((bits - 1 - abs(a[n - k]).bit_length()) // k) for k in range(1, n + 1) if a[n - k])
+    lo, hi = Fraction(2) ** e, Fraction(2) ** (e + 1)
+    while not roots_inside(p, hi):
+        lo, hi = hi, 2 * hi
+    while roots_inside(p, lo):
+        lo, hi = lo / 2, lo
+    while hi - lo > Fraction(_BRACKET_REL) * lo:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if roots_inside(p, mid) else (mid, hi)
+    out = float(hi)
+    return out if out >= hi else math.nextafter(out, math.inf)
 
 
 def _multiplicity_layers(coeffs: list[int]) -> list[list[int]]:

@@ -6,19 +6,23 @@ coefficient. ``enumerate_spanning_trees`` and ``classify_tree`` build
 and sort every rooted spanning tree for the Penrose and weakly Penrose
 counts that ``penrose_report`` takes from its DPs.
 ``reference_canonical_masks`` refines by ranking each vertex's colour
-and sorted tuple of neighbour colours; ``graphs._canonical_masks``
-ranks by integer signatures in the same search and must return the
+and sorted tuple of neighbour colours and explores every branch but
+those of interchangeable vertices; ``graphs._canonical_masks`` ranks by
+integer signatures, prunes by automorphism orbits and must return the
 same form. ``reference_roots_inside`` is the Schur-Cohn disk test that
 divides every transformed polynomial by the gcd of its coefficients;
 ``roots.roots_inside`` divides exactly by an earlier leading coefficient
-instead and must give the same verdict. ``colorings_by_inclusion_exclusion``
-counts proper colorings from the independence polynomials of all induced
-subgraphs, with no deletion-contraction and no enumeration of colorings.
+instead and must give the same verdict. ``connected_sets_masks`` lists
+the connected vertex sets through a vertex, which the tests count the
+signed-sum table, the activity norms and the tree series against.
+``colorings_by_inclusion_exclusion`` counts proper colorings from the
+independence polynomials of all induced subgraphs, with no
+deletion-contraction and no enumeration of colorings.
 
 The module shares no code with the engines it checks: it reads only the
 vertex count and edge set of the input ``Graph`` (or, for the canonical
-labeling, its adjacency masks), and tests connectivity with its own
-union-find.
+labeling and the connected sets, its adjacency masks), and tests
+connectivity with its own union-find.
 """
 
 from __future__ import annotations
@@ -227,6 +231,42 @@ def classify_tree(t: RootedSpanningTree) -> str:
     if sibling_ok:
         return "weakly-penrose-only"
     return "neither"
+
+
+# ---------------------------------------------------------------------------
+# Connected vertex sets
+# ---------------------------------------------------------------------------
+
+def connected_sets_masks(
+    masks: tuple[int, ...],
+    v0: int,
+    allowed: int,
+    min_size: int,
+    max_size: int,
+) -> Iterator[int]:
+    """Yield each connected vertex set containing v0 within ``allowed`` exactly once.
+
+    Binary decision scheme: the lowest-labeled extension vertex is either
+    added (bringing its fresh neighbors into the extension) or excluded
+    for good, so every set arises along exactly one decision path.
+    """
+    if not (allowed >> v0) & 1 or min_size > max_size:
+        return
+
+    def rec(sub: int, size: int, ext: int, forb: int) -> Iterator[int]:
+        if size >= min_size:
+            yield sub
+        if size >= max_size:
+            return
+        while ext:
+            b = ext & -ext
+            ext ^= b
+            w = b.bit_length() - 1
+            grown = masks[w] & allowed & ~(sub | forb | ext | b)
+            yield from rec(sub | b, size + 1, ext | grown, forb)
+            forb |= b
+
+    yield from rec(1 << v0, 1, masks[v0] & allowed, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -199,13 +199,15 @@ def test_verify_complete_10_passes_penrose_identity(capsys):
 def test_verify_names_the_cap_of_a_weak_count_it_could_not_finish(capsys, monkeypatch):
     for module in (polymer, cli):
         monkeypatch.setattr(module, "_DP_STATE_CAP", 50_000)
-    code, out, _ = run(capsys, "verify", "--family", "grid", "--n", "4")
+    code, out, _ = run(
+        capsys, "verify", "--family", "random-regular", "--n", "12", "--delta", "4", "--seed", "2"
+    )
     assert code == 0
     checks = {c["name"]: c for c in parse_json(out)["checks"]}
     assert checks["penrose-identity"] == {
         "name": "penrose-identity",
         "status": "PASS",
-        "detail": "S=-17493, trees=100352, penrose=17493, weak=capped at 50000 states",
+        "detail": "S=-32176, trees=366832, penrose=32176, weak=capped at 50000 states",
     }
 
 

@@ -22,8 +22,8 @@ from chromabound import (
     neighborhood_profile,
     parse_graph,
 )
-from chromabound.graphs import _canonical_masks, _connected_sets_masks
-from reference_oracles import reference_canonical_masks
+from chromabound.graphs import _canonical_masks, _components_masks
+from reference_oracles import connected_sets_masks, reference_canonical_masks
 
 
 def test_graph_basic_accessors():
@@ -143,6 +143,18 @@ def test_components_and_connectivity():
     assert sorted(map(sorted, comps)) == [[0, 1], [2, 3], [4]]
     assert Graph(1, []).is_connected()
     assert Graph(0, []).is_connected()
+
+
+def test_components_within_a_vertex_set_are_those_of_the_induced_subgraph():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        within = rng.randrange(1 << n)
+        verts = [v for v in range(n) if within >> v & 1]
+        want = [tuple(verts[i] for i in comp) for comp in g.induced(verts).components()]
+        got = [tuple(v for v in range(n) if comp >> v & 1) for comp in _components_masks(g.adjacency_masks, within)]
+        assert got == want
 
 
 def test_induced_subgraph():
@@ -269,6 +281,46 @@ def test_canonical_masks_match_the_reference_where_the_memo_works(name, kwargs):
     perm = list(range(g.n))
     random.Random(g.n).shuffle(perm)
     _assert_reference_forms(g, perm)
+
+
+def _cube(d):
+    return Graph(1 << d, [(u, u | 1 << i) for u in range(1 << d) for i in range(d) if not u >> i & 1])
+
+
+def _complete_multipartite(*parts):
+    starts = [sum(parts[:i]) for i in range(len(parts) + 1)]
+    return Graph(starts[-1], [
+        (u, v)
+        for i in range(len(parts))
+        for j in range(i + 1, len(parts))
+        for u in range(starts[i], starts[i + 1])
+        for v in range(starts[j], starts[j + 1])
+    ])
+
+
+def _circulant(n, jumps):
+    return Graph(n, {tuple(sorted((u, (u + j) % n))) for u in range(n) for j in jumps})
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [("petersen", generate_graph("petersen"))]
+    + [(f"cycle-{n}", generate_graph("cycle", n=n)) for n in range(5, 13)]
+    + [("Q3", _cube(3)), ("Q4", _cube(4))]
+    + [("K3,3", _complete_multipartite(3, 3)), ("K4,4", _complete_multipartite(4, 4))]
+    + [("grid-3x3", generate_graph("grid", n=3)), ("grid-4x4", generate_graph("grid", n=4))]
+    + [(f"K{parts}", _complete_multipartite(*parts)) for parts in [(2, 2, 2), (3, 3, 3), (2, 3, 4), (1, 2, 2, 3)]]
+    + [(f"C{n}{jumps}", _circulant(n, jumps)) for n, jumps in [(10, (1, 3)), (11, (1, 2)), (12, (1, 5)), (13, (1, 5))]],
+)
+def test_canonical_masks_match_the_reference_on_symmetric_graphs(name, g):
+    # These graphs have many automorphisms, so the orbit pruning and the
+    # return to the parting node cut most branches; the forms stay those
+    # of the unpruned search.
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        _assert_reference_forms(g, perm)
 
 
 def test_integer_signatures_order_equal_length_sorted_tuples():
@@ -451,14 +503,14 @@ def test_connected_subset_enumeration_matches_brute_force():
         ]
         g = Graph(n, edges)
         for k in range(1, min(5, n) + 1):
-            got = list(_connected_sets_masks(g.adjacency_masks, 0, (1 << n) - 1, k, k))
+            got = list(connected_sets_masks(g.adjacency_masks, 0, (1 << n) - 1, k, k))
             assert len(got) == len(set(got))
             assert set(got) == _connected_subsets_brute(g, 0, k)
 
 
 def test_connected_subsets_exact_size_only():
     g = generate_graph("path", n=5)
-    sets = list(_connected_sets_masks(g.adjacency_masks, 2, (1 << g.n) - 1, 3, 3))
+    sets = list(connected_sets_masks(g.adjacency_masks, 2, (1 << g.n) - 1, 3, 3))
     assert {s.bit_count() for s in sets} == {3}
     # On a path, a connected set containing vertex 2 is an interval.
     assert len(sets) == 3

@@ -27,11 +27,11 @@ from chromabound import (
     verify_cn_bound,
 )
 from chromabound import polymer
-from chromabound.graphs import _connected_sets_masks
 from reference_oracles import (
     EnumerationCapError,
     RootedSpanningTree,
     classify_tree,
+    connected_sets_masks,
     enumerate_spanning_trees,
     signed_connected_sum,
 )
@@ -125,7 +125,7 @@ def _connected_masks(g: Graph) -> dict[int, int]:
     return {
         mask: mask.bit_count()
         for x in range(g.n)
-        for mask in _connected_sets_masks(g.adjacency_masks, x, full, 1, g.n)
+        for mask in connected_sets_masks(g.adjacency_masks, x, full, 1, g.n)
     }
 
 
@@ -300,18 +300,57 @@ def test_penrose_counts_closed_forms():
 
 
 def test_penrose_report_stops_at_the_state_cap():
-    with pytest.raises(ResourceLimitError, match="more than 500000 states"):
-        penrose_report(generate_graph("grid", rows=5, cols=5))
+    # The layering DP finishes grid 5x5 (32126211 trees) but not this graph.
+    with pytest.raises(ResourceLimitError, match="Penrose layering DP visited more than 500000 states"):
+        penrose_report(generate_graph("random-regular", n=18, degree=4, seed=1))
+
+
+def test_the_weakly_penrose_dp_stops_at_the_state_cap():
+    g = generate_graph("grid", rows=5, cols=5)
+    with pytest.raises(ResourceLimitError, match="weakly Penrose DP visited more than 500000 states"):
+        polymer._sibling_free_trees(g.adjacency_masks, ((1 << g.n) - 1) & ~1)
 
 
 def test_a_capped_weak_count_leaves_the_penrose_identity_standing(monkeypatch):
-    # At this cap the layering DP finishes on grid 4x4 and the sibling DP
-    # does not; the identity S = -(Penrose count) needs only the former.
+    # At this cap the layering DP finishes on this graph and the sibling
+    # DP does not (it needs more, for 161338 trees); the identity
+    # S = -(Penrose count) needs only the former.
     monkeypatch.setattr(polymer, "_DP_STATE_CAP", 50_000)
-    g = generate_graph("grid", rows=4, cols=4)
+    g = generate_graph("random-regular", n=12, degree=4, seed=2)
     rep = penrose_report(g)
-    assert (rep.s_value, rep.penrose_count, rep.weak_penrose_count) == (-17493, 17493, None)
+    assert (rep.s_value, rep.penrose_count, rep.weak_penrose_count) == (-32176, 32176, None)
     assert rep.tree_count == spanning_tree_count(g)
+
+
+def _rooted_tree_counts(g):
+    """The layering and sibling DPs on g, rooted at vertex 0."""
+    rest = ((1 << g.n) - 1) & ~1
+    return (
+        polymer._penrose_layerings(g.adjacency_masks, rest),
+        polymer._sibling_free_trees(g.adjacency_masks, rest),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, counts",
+    [
+        ("grid", {"rows": 4, "cols": 4}, (17493, 100352)),
+        ("random-regular", {"n": 16, "degree": 3, "seed": 1}, (37752, 169752)),
+        ("random-regular", {"n": 18, "degree": 3, "seed": 1}, (199500, 714807)),
+    ],
+)
+def test_penrose_dp_counts_at_sixteen_to_eighteen_vertices(name, kwargs, counts):
+    # The first two are the counts the DPs gave before they split the
+    # unplaced vertices into components; the third weak count was then
+    # past the cap.
+    assert _rooted_tree_counts(generate_graph(name, **kwargs)) == counts
+
+
+def test_the_layering_dp_reaches_a_sixteen_vertex_quartic_graph():
+    # -S from chromatic_polynomial (about 3 s, so not run here) is the same.
+    g = generate_graph("random-regular", n=16, degree=4, seed=2)
+    rest = ((1 << g.n) - 1) & ~1
+    assert polymer._penrose_layerings(g.adjacency_masks, rest) == 2576224
 
 
 def test_penrose_report_validation_and_json():
@@ -344,7 +383,7 @@ def test_chrom_cache_is_emptied_past_its_cap(monkeypatch):
     monomers = [
         Monomer(v for v in range(g.n) if mask >> v & 1)
         for low in range(g.n)
-        for mask in _connected_sets_masks(g.adjacency_masks, low, full & ~((1 << low) - 1), 2, g.n)
+        for mask in connected_sets_masks(g.adjacency_masks, low, full & ~((1 << low) - 1), 2, g.n)
     ]
 
     def activities():
@@ -459,7 +498,7 @@ def test_cq_norm_matches_per_vertex_signed_sums():
                 want = max(
                     sum(
                         abs(signed_connected_sum(g.induced(v for v in range(g.n) if s >> v & 1)))
-                        for s in _connected_sets_masks(g.adjacency_masks, x, (1 << g.n) - 1, n, n)
+                        for s in connected_sets_masks(g.adjacency_masks, x, (1 << g.n) - 1, n, n)
                     )
                     for x in range(g.n)
                 )

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -188,15 +189,35 @@ def test_max_modulus_bounds_every_root(factors):
         [5, 2 * 10**200, 1],
         [7, 3 * 10**150, 10**160, 2],
         [1, 0, 0, 10**250, 3],
+        # the largest modulus, about 1e308, fits a float, but Fujiwara's
+        # bound 2e308 does not
+        [1, 10**308, 1],
     ],
 )
 def test_max_modulus_is_certified_where_the_float_step_overflows(coefficients):
-    # The Aberth estimate is not finite here; the disk tests start from
-    # Fujiwara's bound instead.
+    # The Aberth estimate is not finite here; the disk tests bracket the
+    # modulus in exact rationals from a power-of-two Fujiwara bound instead.
     p = IntPolynomial(coefficients)
     m = polynomial_roots(p).max_modulus
     assert roots_inside(p, m)
     assert not roots_inside(p, m * (1 - 4e-10))
+
+
+def test_max_modulus_is_certified_where_the_aberth_step_overflows():
+    # Sample 137 of degree-1..8 polynomials with coefficients below 10^250:
+    # |p(z)| overflows in the iteration, whose estimate is then not finite.
+    rng = random.Random(7)
+    for _ in range(138):
+        coefficients = [
+            rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 250))
+            for _ in range(rng.randint(2, 9))
+        ]
+    assert [len(str(abs(c))) for c in coefficients] == [247, 71, 212, 47, 56]
+    p = IntPolynomial(coefficients)
+    rs = polynomial_roots(p)
+    assert len(rs.roots) == 4
+    assert roots_inside(p, rs.max_modulus)
+    assert not roots_inside(p, rs.max_modulus * (1 - 4e-10))
 
 
 def test_degenerate_inputs():
