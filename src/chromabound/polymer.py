@@ -12,8 +12,9 @@ conditions under which the signed sum collapses to a single count, by
 subset DPs over layerings and sibling-free forests. Both DPs multiply
 out over the components of the vertices still to place, and the forest
 DP picks its roots before the blocks they span, which carries them to
-16-18-vertex graphs within their state cap. It also evaluates
-the exact hard-core partition function and checks the fixed-point
+16-18-vertex graphs within their state cap. It also builds the
+hard-core partition function as an integer polynomial in q, to be set
+against the coloring polynomial, and checks the fixed-point
 convergence inequality with a certified geometric tail. The tests hold
 S and both tree counts to brute-force oracles of their own: an
 edge-subset enumeration and a census of every spanning tree.
@@ -35,6 +36,7 @@ from .graphs import (
     _mask_bits,
     neighborhood_profile,
 )
+from .polynomial import IntPolynomial
 from .series import solve_tree_series
 
 _DP_STATE_CAP = 500_000
@@ -402,47 +404,41 @@ def spanning_tree_count(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact partition function
+# Partition function
 # ---------------------------------------------------------------------------
 
-def hardcore_partition(g: Graph, q) -> Fraction:
-    """The hard-core partition function of the monomer gas, exactly.
+def hardcore_partition(g: Graph) -> IntPolynomial:
+    """q^n Xi_G(q), the hard-core partition function of the monomer gas
+    scaled to an integer polynomial in q.
 
-    Sum over all collections of pairwise-disjoint monomers of the
-    product of their activities, in rational arithmetic. Multiplying by
-    q^n recovers the number of proper q-colorings, and the test suite
-    holds the implementation to that identity.
+    Xi_G sums, over all collections of pairwise-disjoint monomers, the
+    product of their activities S(m) / q^(|m|-1). The polymer
+    representation says that q^n Xi_G(q) is the coloring polynomial
+    P_G(q), and the test suite holds the implementation to that identity.
 
-    With q = a/b in lowest terms, U(A) = a^|A| Z(A) is an integer: the
-    lowest vertex of A is either bare or in a monomer m inside A, so
-    U(A) = a [U(A - low) + sum S(m) b^(|m|-1) U(A - m)].
+    U(A) = q^|A| Xi(A) over the vertex sets A: the lowest vertex v of A
+    is either bare or in a monomer m inside A, so U(empty) = 1 and
+    U(A) = q [U(A - v) + sum S(m) U(A - m)].
     """
-    if isinstance(q, (float, complex)):
-        raise TypeError("partition function requires exact rational q, not float")
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("partition function is undefined at q = 0")
     if g.n > _PARTITION_VERTEX_CAP:
         raise ResourceLimitError(
             f"graph has {g.n} vertices, exceeding the cap of {_PARTITION_VERTEX_CAP}"
         )
-    a, b = q.numerator, q.denominator
-    # monomers by lowest vertex, each with its weight S b^(|m|-1)
     at_low: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for mask, s in _s_table(g.adjacency_masks, g.n).items():
         if mask & (mask - 1):
-            at_low[(mask & -mask).bit_length() - 1].append(
-                (mask, s * b ** (mask.bit_count() - 1))
-            )
-    u = [1] * (1 << g.n)
+            at_low[(mask & -mask).bit_length() - 1].append((mask, s))
+    # u[A] lists the coefficients of U(A) in ascending powers of q, |A| + 1 of them
+    u = [[1]] * (1 << g.n)
     for avail in range(1, 1 << g.n):
         low = avail & -avail
-        total = u[avail ^ low]
-        for mask, w in at_low[low.bit_length() - 1]:
+        total = list(u[avail ^ low])
+        for mask, s in at_low[low.bit_length() - 1]:
             if mask & avail == mask:
-                total += w * u[avail ^ mask]
-        u[avail] = a * total
-    return Fraction(u[-1], a ** g.n)
+                for k, c in enumerate(u[avail ^ mask]):
+                    total[k] += s * c
+        u[avail] = [0] + total
+    return IntPolynomial(u[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .polynomial import IntPolynomial
 # The largest modulus is first bracketed within _CERT_REL of its float
 # estimate; bisection narrows any other bracket to _BRACKET_REL relative.
 _CERT_REL = 1e-10
-_BRACKET_REL = 4e-10
+_BRACKET_REL = Fraction(4, 10**10)
 # Integer roots up to this modulus are divided out by trial before the
 # float step, so they come back exact and leave it a smaller polynomial;
 # a larger one is caught by rounding its approximation.
@@ -192,8 +192,10 @@ def _max_modulus(
     exact: list[int], layers: list[list[int]], approx: list[list[complex]]
 ) -> float:
     """Certified largest modulus over the integer roots and those of the
-    layers; the first layer holds every other root once. A float estimate
-    that is not finite gives way to an exact bracket (``_rational_radius``)."""
+    layers; the first layer holds every other root once. The bracket
+    starts at the float estimate, or where that is not finite, at a power
+    of two from Fujiwara's bound: every root has |q| <= 2 max_k
+    |a_{n-k}/a_n|^{1/k}, and |a_{n-k}/a_n| < 2^(bits(a_{n-k}) - bits(a_n) + 1)."""
     top = max((abs(k) for k in exact), default=0)
     if not layers:
         return float(top)
@@ -202,45 +204,32 @@ def _max_modulus(
         seed = max(abs(z) for z in approx[0]) or 1.0
     except OverflowError:  # some |z| is past the float range
         seed = math.inf
-    if not math.isfinite(seed):
-        return max(float(top), _rational_radius(free))
-    if top >= seed * (1 + _CERT_REL) and roots_inside(free, top):
-        return float(top)
-    return max(float(top), _certified_radius(free, seed))
+    if math.isfinite(seed):
+        if top >= seed * (1 + _CERT_REL) and roots_inside(free, top):
+            return float(top)
+        lo, hi = seed * (1 - _CERT_REL), seed * (1 + _CERT_REL)
+    else:
+        a, n = free.coefficients, free.degree
+        bits = abs(a[n]).bit_length()
+        e = max(
+            -((bits - 1 - abs(a[n - k]).bit_length()) // k) for k in range(1, n + 1) if a[n - k]
+        )
+        lo, hi = Fraction(2) ** e, Fraction(2) ** (e + 1)
+    return max(float(top), _certified_radius(free, Fraction(lo), Fraction(hi)))
 
 
-def _certified_radius(p: IntPolynomial, guess: float) -> float:
-    """A float hi with every root in |q| < hi and some root at |q| >= lo,
-    where hi - lo <= _BRACKET_REL * lo; both ends are tested exactly."""
-    lo, hi = guess * (1 - _CERT_REL), guess * (1 + _CERT_REL)
+def _certified_radius(p: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
+    """A float at least hi, where every root is in |q| < hi and some root
+    at |q| >= lo, with hi - lo <= _BRACKET_REL * lo. Doubling and halving
+    move the bracket (lo, hi] until it holds the largest modulus, and
+    bisection narrows it, each end tested exactly. A largest modulus
+    beyond the float range raises ``OverflowError``.
+    """
     while not roots_inside(p, hi):
         lo, hi = hi, 2 * hi
     while roots_inside(p, lo):
         lo, hi = lo / 2, lo
     while hi - lo > _BRACKET_REL * lo:
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if roots_inside(p, mid) else (mid, hi)
-    return hi
-
-
-def _rational_radius(p: IntPolynomial) -> float:
-    """``_certified_radius`` without a float estimate, in exact rationals.
-
-    Every root has |q| <= 2 max_k |a_{n-k}/a_n|^{1/k} (Fujiwara), and
-    |a_{n-k}/a_n| < 2^(bits(a_{n-k}) - bits(a_n) + 1), so a power of two
-    bounds the roots. Halving and bisection then narrow the bracket, and
-    its upper end is rounded up to a float. A largest modulus beyond the
-    float range raises ``OverflowError``.
-    """
-    a, n = p.coefficients, p.degree
-    bits = abs(a[n]).bit_length()
-    e = max(-((bits - 1 - abs(a[n - k]).bit_length()) // k) for k in range(1, n + 1) if a[n - k])
-    lo, hi = Fraction(2) ** e, Fraction(2) ** (e + 1)
-    while not roots_inside(p, hi):
-        lo, hi = hi, 2 * hi
-    while roots_inside(p, lo):
-        lo, hi = lo / 2, lo
-    while hi - lo > Fraction(_BRACKET_REL) * lo:
         mid = (lo + hi) / 2
         lo, hi = (lo, mid) if roots_inside(p, mid) else (mid, hi)
     out = float(hi)

@@ -275,6 +275,38 @@ def test_verify_polynomial_cap_skips_the_partition_check(capsys):
         assert checks[name] == {"name": name, "status": "SKIP", "detail": cap}
 
 
+def test_verify_partition_identity_compares_every_coefficient(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "8")
+    assert code == 0
+    checks = {c["name"]: c for c in parse_json(out)["checks"]}
+    assert checks["partition-identity"] == {
+        "name": "partition-identity",
+        "status": "PASS",
+        "detail": "q^8 Xi(q) = P(q) at every power of q up to q^8",
+    }
+    # S of the edge {0, 1} off by one changes q^8 Xi(q) by q U(V - {0, 1}),
+    # q times the coloring polynomial of a 6-vertex path: from q^2 up.
+    real = polymer._s_table
+
+    def flipped(masks, max_size):
+        table = real(masks, max_size)
+        table[0b11] += 1
+        return table
+
+    monkeypatch.setattr(polymer, "_s_table", flipped)
+    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "8")
+    assert code == 1
+    payload = parse_json(out)
+    assert payload["ok"] is False
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["partition-identity"] == {
+        "name": "partition-identity",
+        "status": "FAIL",
+        "detail": "q^8 Xi(q) and P(q) first differ at q^2",
+    }
+    assert all(c["status"] == "PASS" for name, c in checks.items() if name != "partition-identity")
+
+
 def test_bounds_order_computes_the_profile_once(capsys, monkeypatch):
     calls = []
     real = bounds.neighborhood_profile

@@ -168,7 +168,7 @@ def test_s_table_stops_at_the_state_cap(monkeypatch):
     with pytest.raises(ResourceLimitError, match="more than 30 states"):
         polymer._s_table(k5.adjacency_masks, 5)
     with pytest.raises(ResourceLimitError):
-        hardcore_partition(k5, 3)
+        hardcore_partition(k5)
     with pytest.raises(ResourceLimitError):
         cq_norm_scaled(k5, 5)
     with pytest.raises(ResourceLimitError):
@@ -362,6 +362,12 @@ def test_penrose_report_validation_and_json():
     assert rep == PenroseReport(s_value=4, tree_count=5, penrose_count=4, weak_penrose_count=5)
 
 
+def _xi(g: Graph, q) -> Fraction:
+    """Xi_G(q) itself, read off the polynomial q^n Xi_G(q)."""
+    q = Fraction(q)
+    return hardcore_partition(g)(q) / q**g.n
+
+
 def test_partition_identity_connected():
     for g in [
         generate_graph("complete", n=4),
@@ -370,8 +376,21 @@ def test_partition_identity_connected():
         generate_graph("grid", rows=2, cols=3),
     ]:
         p = chromatic_polynomial(g)
+        assert hardcore_partition(g) == p
         for q in (2, 3, Fraction(7, 2), 10):
-            assert Fraction(q) ** g.n * hardcore_partition(g, q) == p(q)
+            assert Fraction(q) ** g.n * _xi(g, q) == p(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_partition_polynomial_is_the_coloring_polynomial(data):
+    # Any graph on 0-8 vertices, edgeless and disconnected ones included:
+    # q^n Xi_G(q) = P_G(q), coefficient by coefficient.
+    n = data.draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=16)) if pairs else []
+    g = Graph(n, edges)
+    assert hardcore_partition(g) == chromatic_polynomial(g)
 
 
 def test_chrom_cache_is_emptied_past_its_cap(monkeypatch):
@@ -446,7 +465,7 @@ def test_partition_values_are_pinned():
     for (family, n, seed), want in PINNED_PARTITIONS.items():
         kwargs = {"n": n} if seed is None else {"n": n, "degree": 3, "seed": seed}
         g = generate_graph(family, **kwargs)
-        got = [hardcore_partition(g, q) for q in (2, 3, Fraction(7, 2), 10)]
+        got = [_xi(g, q) for q in (2, 3, Fraction(7, 2), 10)]
         assert got == [Fraction(z) for z in want]
 
 
@@ -461,18 +480,14 @@ def test_fp_reports_are_pinned():
 def test_partition_identity_disconnected():
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     p = chromatic_polynomial(g)
+    assert hardcore_partition(g) == p
     for q in (2, 5, Fraction(9, 4)):
-        assert Fraction(q) ** 5 * hardcore_partition(g, q) == p(q)
+        assert Fraction(q) ** 5 * _xi(g, q) == p(q)
 
 
-def test_partition_requires_exact_arithmetic():
-    g = generate_graph("cycle", n=4)
-    with pytest.raises(TypeError):
-        hardcore_partition(g, 2.0)
-    with pytest.raises(ValueError):
-        hardcore_partition(g, 0)
-    with pytest.raises(ResourceLimitError):
-        hardcore_partition(generate_graph("cycle", n=9), 2)
+def test_partition_stops_at_its_vertex_cap():
+    with pytest.raises(ResourceLimitError, match="9 vertices, exceeding the cap of 8"):
+        hardcore_partition(generate_graph("cycle", n=9))
 
 
 def test_cq_norm_values():

@@ -220,6 +220,16 @@ def test_max_modulus_is_certified_where_the_aberth_step_overflows():
     assert not roots_inside(p, rs.max_modulus * (1 - 4e-10))
 
 
+def test_max_modulus_below_the_float_range_is_certified():
+    # The root -10^-400 rounds to -0.0. Bisecting a float bracket then
+    # stalls at (0.0, 5e-324], whose midpoint rounds back to 0.0; the
+    # exact bracket narrows and its upper end rounds up to 5e-324.
+    p = IntPolynomial([1, 10**400])
+    m = polynomial_roots(p).max_modulus
+    assert m == 5e-324
+    assert roots_inside(p, m)
+
+
 def test_degenerate_inputs():
     with pytest.raises(ValueError):
         polynomial_roots(IntPolynomial([0]))
