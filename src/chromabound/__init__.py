@@ -38,18 +38,14 @@ from .optimize import OptimizationResult, bisect_increasing, minimize_scalar
 from .polymer import (
     CnBoundReport,
     FpConditionReport,
-    Monomer,
     PenroseReport,
-    activity,
-    activity_exact,
     check_fp_condition,
-    cq_norm_scaled,
     hardcore_partition,
     penrose_report,
     spanning_tree_count,
     verify_cn_bound,
 )
-from .polynomial import ONE, IntPolynomial, X
+from .polynomial import IntPolynomial, X
 from .roots import RootSet, polynomial_roots, roots_inside
 from .series import (
     TruncatedSeries,
@@ -70,17 +66,13 @@ __all__ = [
     "GraphParseError",
     "InconclusiveError",
     "IntPolynomial",
-    "Monomer",
     "NeighborhoodProfile",
-    "ONE",
     "OptimizationResult",
     "PenroseReport",
     "ResourceLimitError",
     "RootSet",
     "TruncatedSeries",
     "X",
-    "activity",
-    "activity_exact",
     "bisect_increasing",
     "canonical_form",
     "check_fp_condition",
@@ -89,7 +81,6 @@ __all__ = [
     "connected_graphs",
     "constants",
     "count_proper_colorings",
-    "cq_norm_scaled",
     "cstar_delta",
     "cstar_delta_a_form",
     "cstar_graph",

@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="identity checks for one graph; exit 0 iff all pass")
     _add_graph_flags(p_verify)
-    p_verify.add_argument("--q", type=float, default=10.0, help="q of the activity checks")
+    p_verify.add_argument("--q", type=float, default=10.0, help="q of the convergence check (--a)")
     p_verify.add_argument("--a", type=float, help="run the convergence check at this a")
     p_verify.add_argument("--order", type=int, default=16, help="series order of the --a check")
     p_verify.add_argument(
@@ -252,8 +252,8 @@ def _partition_check(g: Graph, args):
 
 def _activity_check(g: Graph, args):
     top = min(5, g.n)
-    bad = [n for n in range(2, top + 1) if not verify_cn_bound(g, n, args.q).holds]
-    return not bad, f"sizes 2..{top} at q={args.q}" + (f", exceeded at {bad}" if bad else "")
+    bad = [n for n in range(2, top + 1) if not verify_cn_bound(g, n).holds]
+    return not bad, f"sizes 2..{top}" + (f", exceeded at {bad}" if bad else "")
 
 
 def _fp_check(g: Graph, args):
@@ -278,6 +278,8 @@ def _cmd_verify(args, parser) -> int:
     if args.max_vertices < 1:  # a cap below 1 would SKIP both polynomial checks
         parser.error("--max-vertices must be at least 1")
     g = _resolve_graph(args, parser)
+    if not 0 < args.q < math.inf:
+        raise ValueError("q must be positive and finite")
     checks: list[dict] = []
 
     def record(name: str, status: str, detail: str) -> None:

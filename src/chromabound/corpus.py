@@ -77,7 +77,7 @@ def _build_level(n: int) -> tuple[Graph, ...]:
     seen: dict[tuple[int, ...], None] = {}
     for parent in connected_graphs(n - 1):
         base = parent.adjacency_masks
-        pieces = [_pieces_without(base, v) for v in range(new)]
+        pieces = [_components_masks(base, ~(1 << v)) for v in range(new)]
         twins = [
             (1 << u, 1 << v)
             for v in range(new)
@@ -99,11 +99,6 @@ def _build_level(n: int) -> tuple[Graph, ...]:
             f"generated {len(level)} connected graphs on {n} vertices, expected {expected}"
         )
     return level
-
-
-def _pieces_without(masks: tuple[int, ...], v: int) -> list[int]:
-    """Vertex masks of the components left when v is removed."""
-    return _components_masks(masks, ~(1 << v))
 
 
 def _new_vertex_is_maximal(masks: tuple[int, ...], pieces: list[list[int]]) -> bool:

@@ -3,21 +3,25 @@
 A monomer is a vertex set of size at least 2 inducing a connected
 subgraph; its activity at parameter q is S / q^(k-1), where k is its
 size and S is the signed sum over connected spanning subgraphs of the
-induced graph. The S of one whole set is the linear coefficient of its
-coloring polynomial, taken from the deletion-contraction engine; the S
-of every connected set of a graph at once comes from one subset
-recursion, the exponential formula solved at each set's lowest vertex.
-The module counts the rooted spanning trees that meet the generation
-conditions under which the signed sum collapses to a single count, by
-subset DPs over layerings and sibling-free forests. Both DPs multiply
-out over the components of the vertices still to place, and the forest
-DP picks its roots before the blocks they span, which carries them to
-16-18-vertex graphs within their state cap. It also builds the
-hard-core partition function as an integer polynomial in q, to be set
-against the coloring polynomial, and checks the fixed-point
-convergence inequality with a certified geometric tail. The tests hold
-S and both tree counts to brute-force oracles of their own: an
-edge-subset enumeration and a census of every spanning tree.
+induced graph. The module works in integers that do not depend on q,
+and q enters only the fixed-point convergence check. The hard-core
+partition function, scaled by q^n, is an integer polynomial in q, to
+be set against the coloring polynomial. The activity bound weighs the
+size-k activities against a tree count divided by the same q^(k-1),
+so q cancels from it. The S of every connected set of a graph at once
+comes from one subset recursion, the exponential formula solved at
+each set's lowest vertex; the S of a whole graph, in the Penrose
+report, is the linear coefficient of its coloring polynomial, taken
+from the deletion-contraction engine. The module counts the rooted
+spanning trees that meet the generation conditions under which the
+signed sum collapses to a single count, by subset DPs over layerings
+and sibling-free forests. Both DPs multiply out over the components of
+the vertices still to place, and the forest DP picks its roots before
+the blocks they span, which carries them to 16-18-vertex graphs within
+their state cap. The convergence check bounds its geometric tail with
+a certificate. The tests hold S and both tree counts to brute-force
+oracles of their own: an edge-subset enumeration and a census of every
+spanning tree.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chromatic import _chrom
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     _components_masks,
-    _induced_masks,
     _mask_bits,
     neighborhood_profile,
 )
@@ -44,27 +46,16 @@ _PARTITION_VERTEX_CAP = 8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SUBSET_SIZE_CAP = 16
 
-# Coloring-polynomial subresults are shared across all polymer
-# computations, keyed by canonical form; emptied once it holds more than
+# Coloring-polynomial subresults are shared across penrose_report calls,
+# keyed by canonical form; emptied once it holds more than
 # _CHROM_CACHE_CAP entries, so a long sweep cannot grow it without limit.
 _CHROM_CACHE: dict = {}
 _CHROM_CACHE_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Signed connected-subgraph sums and monomer activities
+# Signed connected-subgraph sums
 # ---------------------------------------------------------------------------
-
-def _s_value_induced(masks: tuple[int, ...], sub_mask: int) -> int:
-    """S of the induced subgraph, via the linear coefficient of its
-    coloring polynomial (equal to the signed sum for connected graphs)."""
-    ind = _induced_masks(masks, sub_mask)
-    if len(_components_masks(ind)) != 1:
-        raise ValueError("vertex set does not induce a connected subgraph")
-    if len(_CHROM_CACHE) > _CHROM_CACHE_CAP:
-        _CHROM_CACHE.clear()
-    return _chrom(ind, _CHROM_CACHE).coefficients[1]
-
 
 def _s_table(masks: tuple[int, ...], max_size: int) -> dict[int, int]:
     """S of every connected vertex set of size at most ``max_size``.
@@ -113,48 +104,6 @@ def _s_table(masks: tuple[int, ...], max_size: int) -> dict[int, int]:
     return table
 
 
-@dataclass(frozen=True)
-class Monomer:
-    """A vertex set of size >= 2; validity in a host graph is checked
-    where the host is known (activity computations)."""
-
-    vertices: frozenset[int]
-
-    def __init__(self, vertices):
-        object.__setattr__(self, "vertices", frozenset(vertices))
-        if len(self.vertices) < 2:
-            raise ValueError("a monomer needs at least 2 vertices")
-        if any(not isinstance(v, int) for v in self.vertices):
-            raise TypeError("monomer vertices must be integers")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def activity_exact(g: Graph, m: Monomer) -> tuple[int, int]:
-    """The activity of m in g as an exact pair (S, k): value S / q^k."""
-    if any(not 0 <= v < g.n for v in m.vertices):
-        raise ValueError("monomer vertices out of range for the graph")
-    sub_mask = 0
-    for v in m.vertices:
-        sub_mask |= 1 << v
-    s = _s_value_induced(g.adjacency_masks, sub_mask)
-    return s, len(m) - 1
-
-
-def activity(g: Graph, m: Monomer, q):
-    """The activity S / q^(|m|-1) at a numeric q (real or complex).
-
-    Exact q (int or Fraction) gives an exact Fraction back.
-    """
-    if q == 0:
-        raise ValueError("activity is undefined at q = 0")
-    s, power = activity_exact(g, m)
-    if isinstance(q, (int, Fraction)):
-        return Fraction(s) / Fraction(q) ** power
-    return s / q ** power
-
-
 # ---------------------------------------------------------------------------
 # Penrose and weakly Penrose trees
 # ---------------------------------------------------------------------------
@@ -199,8 +148,10 @@ def penrose_report(g: Graph) -> PenroseReport:
         weak = _sibling_free_trees(masks, rest)
     except ResourceLimitError:
         weak = None
+    if len(_CHROM_CACHE) > _CHROM_CACHE_CAP:
+        _CHROM_CACHE.clear()
     return PenroseReport(
-        s_value=_s_value_induced(masks, (1 << g.n) - 1),
+        s_value=_chrom(masks, _CHROM_CACHE).coefficients[1],
         tree_count=spanning_tree_count(g),
         penrose_count=penrose,
         weak_penrose_count=weak,
@@ -445,20 +396,11 @@ def hardcore_partition(g: Graph) -> IntPolynomial:
 # Activity norms and the fixed-point convergence check
 # ---------------------------------------------------------------------------
 
-def cq_norm_scaled(g: Graph, n: int) -> int:
-    """max over vertices x of the sum of |S| over size-n monomers at x.
-
-    This is the activity norm with the q-power stripped off, so it is an
-    integer.
-    """
-    if n < 2:
-        raise ValueError("monomer sizes start at 2")
-    return _norms_scaled(g, n)[n]
-
-
 def _norms_scaled(g: Graph, top: int) -> list[int]:
-    """``cq_norm_scaled`` at every size up to ``top``, indexed by size,
-    from one table of signed sums."""
+    """The activity norms with their q-powers stripped off, indexed by
+    size up to ``top``: at size k, the largest sum over a vertex x of |S|
+    over the size-k monomers that hold x. One table of signed sums gives
+    them all."""
     if top > _SUBSET_SIZE_CAP:
         raise ResourceLimitError(
             f"subset enumeration capped at size {_SUBSET_SIZE_CAP}"
@@ -489,25 +431,25 @@ def _scaled(k: int, q: float, e: int, log_factor: float = 0.0) -> float:
 @dataclass(frozen=True)
 class CnBoundReport:
     """Activity norm against the constrained-tree coefficient, both
-    exactly (scaled by q^{n-1}) and at the evaluation q."""
+    scaled by q^{n-1}, which leaves integers free of q."""
 
-    lhs: float
-    rhs: float
     holds: bool
     lhs_scaled: int
     rhs_scaled: int
 
 
-def verify_cn_bound(g: Graph, n: int, q: float) -> CnBoundReport:
+def verify_cn_bound(g: Graph, n: int) -> CnBoundReport:
     """Check that the size-n activity norm is at most q^{-(n-1)} t_n.
 
     t_n is the coefficient of the rooted-tree series built from the
-    graph's own neighborhood growth profile. The comparison is exact:
-    both sides are integers after scaling by q^{n-1}.
+    graph's own neighborhood growth profile. Every size-n monomer has
+    activity S / q^(n-1), so both sides carry the factor q^{-(n-1)}.
+    Cancelled, it leaves an exact comparison of integers, and the bound
+    holds at every q > 0 or at none.
     """
-    if not 0 < q < math.inf:
-        raise ValueError("q must be positive and finite")
-    lhs_scaled = cq_norm_scaled(g, n)
+    if n < 2:
+        raise ValueError("monomer sizes start at 2")
+    lhs_scaled = _norms_scaled(g, n)[n]
     if g.max_degree == 0:
         rhs_scaled = 0
     else:
@@ -517,8 +459,6 @@ def verify_cn_bound(g: Graph, n: int, q: float) -> CnBoundReport:
         )
         rhs_scaled = tbar.coefficient(n)
     return CnBoundReport(
-        lhs=_scaled(lhs_scaled, q, n - 1),
-        rhs=_scaled(rhs_scaled, q, n - 1),
         holds=lhs_scaled <= rhs_scaled,
         lhs_scaled=lhs_scaled,
         rhs_scaled=rhs_scaled,

@@ -136,4 +136,3 @@ class IntPolynomial:
 
 
 X = IntPolynomial([0, 1])
-ONE = IntPolynomial([1])

@@ -143,13 +143,13 @@ def test_criterion_06_activity_bound():
     for n in range(2, 7):
         for g in connected_graphs(n):
             for size in range(2, min(5, n) + 1):
-                rep = verify_cn_bound(g, size, 10.0)
+                rep = verify_cn_bound(g, size)
                 assert rep.holds
                 checks += 1
     # Tightness witness: complete graphs meet the bound with equality
     # at pair monomers.
     for k in range(2, 7):
-        rep = verify_cn_bound(generate_graph("complete", n=k), 2, 10.0)
+        rep = verify_cn_bound(generate_graph("complete", n=k), 2)
         assert rep.lhs_scaled == rep.rhs_scaled
     _finish(6, t0, 60.0, f"{checks} bound checks plus 5 equality witnesses")
 

@@ -11,17 +11,13 @@ _PUBLIC = [
     "GraphParseError",
     "InconclusiveError",
     "IntPolynomial",
-    "Monomer",
     "NeighborhoodProfile",
-    "ONE",
     "OptimizationResult",
     "PenroseReport",
     "ResourceLimitError",
     "RootSet",
     "TruncatedSeries",
     "X",
-    "activity",
-    "activity_exact",
     "bisect_increasing",
     "canonical_form",
     "check_fp_condition",
@@ -30,7 +26,6 @@ _PUBLIC = [
     "connected_graphs",
     "constants",
     "count_proper_colorings",
-    "cq_norm_scaled",
     "cstar_delta",
     "cstar_delta_a_form",
     "cstar_graph",
@@ -57,7 +52,7 @@ _PUBLIC = [
 
 
 def test_public_api_is_pinned():
-    assert len(_PUBLIC) == 50 and _PUBLIC == sorted(_PUBLIC)
+    assert len(_PUBLIC) == 45 and _PUBLIC == sorted(_PUBLIC)
     assert chromabound.__all__ == _PUBLIC
     for name in _PUBLIC:
         getattr(chromabound, name)

@@ -405,8 +405,8 @@ def test_verify_fp_check_sums_an_overflowing_head_in_logarithms(capsys):
 
 
 def test_verify_activity_check_at_an_underflowing_q(capsys):
-    # q^{n-1} underflows to 0 at q = 1e-200; the decision is the exact
-    # integer comparison and the display floats saturate.
+    # q^{n-1} underflows to 0 at q = 1e-200; q cancels from the activity
+    # bound, so the check is the same exact integer comparison.
     code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "5", "--q", "1e-200")
     assert code == 0
     activity = {c["name"]: c for c in parse_json(out)["checks"]}["activity-bound"]
