@@ -413,15 +413,28 @@ def test_verify_activity_check_at_an_underflowing_q(capsys):
     assert activity["status"] == "PASS"
 
 
+def test_verify_activity_check_does_not_read_q(capsys):
+    # q cancels from the activity bound: the same record at every q
+    records = []
+    for q in ("1e-200", "0.001", "11", "1e200"):
+        code, out, _ = run(capsys, "verify", "--family", "petersen", "--q", q)
+        assert code == 0
+        records.append({c["name"]: c for c in parse_json(out)["checks"]}["activity-bound"])
+    assert records[0] == {"name": "activity-bound", "status": "PASS", "detail": "sizes 2..5"}
+    assert all(r == records[0] for r in records)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["verify", "--a", "800"], "error: a must lie in (0, 709.783)"),
         (["verify", "--a", "inf"], "error: a must lie in (0, 709.783)"),
         (["verify", "--q", "inf"], "error: q must be positive and finite"),
+        (["verify", "--q", "0"], "error: q must be positive and finite"),
+        (["verify", "--q", "-2", "--a", "0.5"], "error: q must be positive and finite"),
         (["series", "--b", "inf"], "error: level b must be finite and exceed 1"),
     ],
-    ids=["a-800", "a-inf", "q-inf", "b-inf"],
+    ids=["a-800", "a-inf", "q-inf", "q-zero", "q-negative-with-a", "b-inf"],
 )
 def test_extreme_numbers_are_errors_not_tracebacks(capsys, argv, message):
     code, _, err = run(capsys, *argv, "--family", "cycle", "--n", "5")
