@@ -252,7 +252,8 @@ def _partition_check(g: Graph, args):
 
 def _activity_check(g: Graph, args):
     top = min(5, g.n)
-    bad = [n for n in range(2, top + 1) if not verify_cn_bound(g, n).holds]
+    rep = verify_cn_bound(g, top)
+    bad = [n for n, c, t in zip(range(2, top + 1), rep.lhs_scaled, rep.rhs_scaled) if c > t]
     return not bad, f"sizes 2..{top}" + (f", exceeded at {bad}" if bad else "")
 
 

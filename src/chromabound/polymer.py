@@ -8,9 +8,10 @@ and q enters only the fixed-point convergence check. The hard-core
 partition function, scaled by q^n, is an integer polynomial in q, to
 be set against the coloring polynomial. The activity bound weighs the
 size-k activities against a tree count divided by the same q^(k-1),
-so q cancels from it. The S of every connected set of a graph at once
-comes from one subset recursion, the exponential formula solved at
-each set's lowest vertex; the S of a whole graph, in the Penrose
+so q cancels from it, and at sizes 2..top it compares two integer
+vectors coefficientwise. The S of every connected set of a graph at
+once comes from one subset recursion, the exponential formula solved
+at each set's lowest vertex; the S of a whole graph, in the Penrose
 report, is the linear coefficient of its coloring polynomial, taken
 from the deletion-contraction engine. The module counts the rooted
 spanning trees that meet the generation conditions under which the
@@ -396,11 +397,10 @@ def hardcore_partition(g: Graph) -> IntPolynomial:
 # Activity norms and the fixed-point convergence check
 # ---------------------------------------------------------------------------
 
-def _norms_scaled(g: Graph, top: int) -> list[int]:
-    """The activity norms with their q-powers stripped off, indexed by
-    size up to ``top``: at size k, the largest sum over a vertex x of |S|
-    over the size-k monomers that hold x. One table of signed sums gives
-    them all."""
+def _norms_scaled(g: Graph, top: int) -> tuple[int, ...]:
+    """The activity norms with their q-powers stripped off, at sizes 2 to
+    ``top``: at size k, the largest sum over a vertex x of |S| over the
+    size-k monomers that hold x. One table of signed sums gives them all."""
     if top > _SUBSET_SIZE_CAP:
         raise ResourceLimitError(
             f"subset enumeration capped at size {_SUBSET_SIZE_CAP}"
@@ -410,7 +410,7 @@ def _norms_scaled(g: Graph, top: int) -> list[int]:
         at_size, s = totals[mask.bit_count()], abs(s)
         for v in _mask_bits(mask):
             at_size[v] += s
-    return [max(t, default=0) for t in totals]
+    return tuple(max(t, default=0) for t in totals[2:])
 
 
 def _scaled(k: int, q: float, e: int, log_factor: float = 0.0) -> float:
@@ -430,36 +430,37 @@ def _scaled(k: int, q: float, e: int, log_factor: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class CnBoundReport:
-    """Activity norm against the constrained-tree coefficient, both
-    scaled by q^{n-1}, which leaves integers free of q."""
+    """Activity norms against the constrained-tree coefficients at sizes
+    2..top, each scaled by q^{n-1}, which leaves integers free of q;
+    entry i of either tuple belongs to size i + 2."""
 
     holds: bool
-    lhs_scaled: int
-    rhs_scaled: int
+    lhs_scaled: tuple[int, ...]
+    rhs_scaled: tuple[int, ...]
 
 
-def verify_cn_bound(g: Graph, n: int) -> CnBoundReport:
-    """Check that the size-n activity norm is at most q^{-(n-1)} t_n.
+def verify_cn_bound(g: Graph, top: int) -> CnBoundReport:
+    """Check that the size-n activity norm is at most q^{-(n-1)} t_n at
+    every size n from 2 to ``top``.
 
     t_n is the coefficient of the rooted-tree series built from the
     graph's own neighborhood growth profile. Every size-n monomer has
     activity S / q^(n-1), so both sides carry the factor q^{-(n-1)}.
-    Cancelled, it leaves an exact comparison of integers, and the bound
-    holds at every q > 0 or at none.
+    Cancelled, it leaves a coefficientwise comparison of two integer
+    vectors, and the bound holds at every q > 0 or at none. One table of
+    signed sums gives every norm, and one series every t_n.
     """
-    if n < 2:
+    if top < 2:
         raise ValueError("monomer sizes start at 2")
-    lhs_scaled = _norms_scaled(g, n)[n]
+    lhs_scaled = _norms_scaled(g, top)
     if g.max_degree == 0:
-        rhs_scaled = 0
+        rhs_scaled = (0,) * len(lhs_scaled)
     else:
         prof = neighborhood_profile(g)
-        _, tbar = solve_tree_series(
-            prof.z_tilde_polynomial(), prof.z_polynomial(), n
-        )
-        rhs_scaled = tbar.coefficient(n)
+        _, tbar = solve_tree_series(prof.z_tilde_polynomial(), prof.z_polynomial(), top)
+        rhs_scaled = tbar.coefficients[1:]
     return CnBoundReport(
-        holds=lhs_scaled <= rhs_scaled,
+        holds=all(c <= t for c, t in zip(lhs_scaled, rhs_scaled)),
         lhs_scaled=lhs_scaled,
         rhs_scaled=rhs_scaled,
     )
@@ -500,13 +501,11 @@ def check_fp_condition(g: Graph, q: float, a: float, order: int) -> FpConditionR
         raise ValueError(f"a must lie in (0, {_LOG_FLOAT_MAX:.6g}) so that e^a fits a float")
     if order < 2:
         raise ValueError("truncation order must be at least 2")
-    delta = g.max_degree
     threshold = math.expm1(a)
     head = 0.0
-    norms = _norms_scaled(g, min(order, g.n))
-    for n in range(2, len(norms)):
-        head += _scaled(norms[n], q, n - 1, a * n)
-    ratio = _scaled(delta, q, 1, 1.0 + a)
+    for n, norm in enumerate(_norms_scaled(g, min(order, g.n)), 2):
+        head += _scaled(norm, q, n - 1, a * n)
+    ratio = _scaled(g.max_degree, q, 1, 1.0 + a)
     if head > threshold:
         return FpConditionReport(
             "violated", head, None, threshold, ratio, order, q, a

@@ -322,6 +322,40 @@ def test_bounds_order_computes_the_profile_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_checks_every_activity_size_in_one_call(capsys, monkeypatch):
+    calls = []
+    real = cli.verify_cn_bound
+
+    def counted(g, top):
+        calls.append(top)
+        return real(g, top)
+
+    monkeypatch.setattr(cli, "verify_cn_bound", counted)
+    code, out, _ = run(capsys, "verify", "--family", "petersen")
+    assert code == 0
+    activity = {c["name"]: c for c in parse_json(out)["checks"]}["activity-bound"]
+    assert activity == {"name": "activity-bound", "status": "PASS", "detail": "sizes 2..5"}
+    assert calls == [5]
+
+
+def test_verify_activity_check_names_the_exceeded_sizes(capsys, monkeypatch):
+    real = polymer._norms_scaled
+
+    def inflated(g, top):
+        # sizes 3 and 5 pushed past any tree coefficient
+        return tuple(c + 10**6 * (n in (3, 5)) for n, c in enumerate(real(g, top), 2))
+
+    monkeypatch.setattr(polymer, "_norms_scaled", inflated)
+    code, out, _ = run(capsys, "verify", "--family", "petersen")
+    assert code == 1
+    activity = {c["name"]: c for c in parse_json(out)["checks"]}["activity-bound"]
+    assert activity == {
+        "name": "activity-bound",
+        "status": "FAIL",
+        "detail": "sizes 2..5, exceeded at [3, 5]",
+    }
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "complete", "--n", "4", "--format", "text"
@@ -404,20 +438,13 @@ def test_verify_fp_check_sums_an_overflowing_head_in_logarithms(capsys):
     assert fp["detail"].startswith("status=violated, head=inf, threshold=5.22147e+173")
 
 
-def test_verify_activity_check_at_an_underflowing_q(capsys):
-    # q^{n-1} underflows to 0 at q = 1e-200; q cancels from the activity
-    # bound, so the check is the same exact integer comparison.
-    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "5", "--q", "1e-200")
-    assert code == 0
-    activity = {c["name"]: c for c in parse_json(out)["checks"]}["activity-bound"]
-    assert activity["status"] == "PASS"
-
-
-def test_verify_activity_check_does_not_read_q(capsys):
-    # q cancels from the activity bound: the same record at every q
+@pytest.mark.parametrize("family", [["cycle", "--n", "5"], ["petersen"]])
+def test_verify_activity_check_does_not_read_q(capsys, family):
+    # q cancels from the activity bound: the same record at every q, even
+    # where q^{n-1} underflows to 0 (q = 1e-200)
     records = []
     for q in ("1e-200", "0.001", "11", "1e200"):
-        code, out, _ = run(capsys, "verify", "--family", "petersen", "--q", q)
+        code, out, _ = run(capsys, "verify", "--family", *family, "--q", q)
         assert code == 0
         records.append({c["name"]: c for c in parse_json(out)["checks"]}["activity-bound"])
     assert records[0] == {"name": "activity-bound", "status": "PASS", "detail": "sizes 2..5"}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chromabound import (
     Graph,
+    NeighborhoodProfile,
     PenroseReport,
     ResourceLimitError,
     check_fp_condition,
@@ -18,8 +19,10 @@ from chromabound import (
     generate_graph,
     hardcore_partition,
     named_corpus,
+    neighborhood_profile,
     penrose_report,
     spanning_tree_count,
+    t_n_delta,
     verify_cn_bound,
 )
 from chromabound import polymer
@@ -424,7 +427,7 @@ def _pinned_graph(name: str) -> Graph:
 def test_activity_norms_are_pinned():
     for name, want in PINNED_NORMS.items():
         g = _pinned_graph(name)
-        assert polymer._norms_scaled(g, g.n)[2:] == want
+        assert polymer._norms_scaled(g, g.n) == tuple(want)
 
 
 def test_partition_values_are_pinned():
@@ -455,9 +458,9 @@ def test_partition_stops_at_its_vertex_cap():
 
 def test_cq_norm_values():
     p3 = generate_graph("path", n=3)
-    assert [verify_cn_bound(p3, n).lhs_scaled for n in (2, 3, 4)] == [2, 1, 0]
+    assert verify_cn_bound(p3, 4).lhs_scaled == (2, 1, 0)
     k3 = generate_graph("complete", n=3)
-    assert [verify_cn_bound(k3, n).lhs_scaled for n in (2, 3)] == [2, 2]
+    assert verify_cn_bound(k3, 3).lhs_scaled == (2, 2)
     with pytest.raises(ValueError):
         verify_cn_bound(k3, 1)
 
@@ -466,25 +469,39 @@ def test_cq_norm_matches_per_vertex_signed_sums():
     # The per-vertex formula, with every S from the enumeration oracle.
     for order in range(2, 6):
         for g in connected_graphs(order):
-            for n in range(2, g.n + 1):
-                want = max(
+            want = tuple(
+                max(
                     sum(
                         abs(signed_connected_sum(g.induced(v for v in range(g.n) if s >> v & 1)))
                         for s in connected_sets_masks(g.adjacency_masks, x, (1 << g.n) - 1, n, n)
                     )
                     for x in range(g.n)
                 )
-                assert verify_cn_bound(g, n).lhs_scaled == want
+                for n in range(2, g.n + 1)
+            )
+            assert verify_cn_bound(g, g.n).lhs_scaled == want
 
 
 def test_cn_bound_triangle_equalities():
     k3 = generate_graph("complete", n=3)
-    for n in (2, 3):
-        rep = verify_cn_bound(k3, n)
-        assert rep.holds
-        assert rep.lhs_scaled == rep.rhs_scaled
     rep = verify_cn_bound(k3, 4)
-    assert rep.holds and rep.lhs_scaled == 0
+    assert rep.holds
+    assert rep.lhs_scaled[:2] == rep.rhs_scaled[:2]
+    assert rep.lhs_scaled[2] == 0
+
+
+def test_cn_bound_rhs_is_the_degree_series_on_binomial_profiles():
+    # In a triangle-free graph of maximum degree d every subset of a
+    # largest neighbourhood is independent, so the profile is binomial
+    # and the series is t_n_delta(d), which test_series.py holds to the
+    # closed form.
+    for g, d in [
+        (generate_graph("petersen"), 3),
+        (generate_graph("cycle", n=8), 2),
+        (generate_graph("grid", n=3), 4),
+    ]:
+        assert neighborhood_profile(g) == NeighborhoodProfile.binomial(d)
+        assert verify_cn_bound(g, 5).rhs_scaled == t_n_delta(d, 5).coefficients[1:]
 
 
 def test_activity_floats_saturate_where_q_powers_leave_the_float_range():
@@ -507,8 +524,7 @@ def test_cn_bound_random_graphs():
         g = Graph(n, edges)
         if g.max_degree == 0:
             continue
-        for size in range(2, min(5, n) + 1):
-            assert verify_cn_bound(g, size).holds
+        assert verify_cn_bound(g, min(5, n)).holds
 
 
 def test_fp_condition_statuses():
