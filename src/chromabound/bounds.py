@@ -265,7 +265,11 @@ def _partial_sum_at_most(t: TruncatedSeries, y: float, level: float) -> bool:
 
 
 def verify_zero_free(
-    g: Graph, *, tol: float | None = None, max_vertices: int = _DEFAULT_VERTEX_CAP
+    g: Graph,
+    *,
+    tol: float | None = None,
+    cache: dict | None = None,
+    max_vertices: int = _DEFAULT_VERTEX_CAP,
 ) -> BoundReport:
     """Certify the largest chromatic root modulus and compare it with the bounds.
 
@@ -277,8 +281,11 @@ def verify_zero_free(
     |q| >= bound.
 
     ``tol`` is accepted and ignored: no root tolerance enters the verdict.
+    ``cache`` is passed to ``chromatic_polynomial``: a dict shared with
+    other calls reuses their subproblem results, and with none the memo
+    is confined to this computation. Results are identical either way.
     """
-    p = chromatic_polynomial(g, max_vertices=max_vertices)
+    p = chromatic_polynomial(g, cache=cache, max_vertices=max_vertices)
     rs = polynomial_roots(p)
     delta = g.max_degree
     if delta == 0:

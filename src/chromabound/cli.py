@@ -10,7 +10,9 @@ Every subcommand builds its JSON payload, its CSV rows and, where the
 text output is not one ``key: value`` line per field, its text lines;
 one emitter, ``_emit``, prints the chosen format. Each ``verify`` check
 returns ``(ok, detail)``, and one rule turns a library cap
-(``ResourceLimitError``) into a SKIP with the cap's message.
+(``ResourceLimitError``) into a SKIP with the cap's message. The three
+checks that need the chromatic polynomial share ``polymer``'s bounded
+memo, so ``verify`` computes it once.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import ChromaboundError, ResourceLimitError
 from .graphs import Graph, NeighborhoodProfile, generate_graph, neighborhood_profile, parse_graph
 from .polymer import (
     _DP_STATE_CAP,
+    _chrom_memo,
     check_fp_condition,
     hardcore_partition,
     penrose_report,
@@ -242,7 +245,7 @@ def _penrose_check(g: Graph, args):
 
 def _partition_check(g: Graph, args):
     xi = hardcore_partition(g)
-    p = chromatic_polynomial(g, max_vertices=args.max_vertices)
+    p = chromatic_polynomial(g, cache=_chrom_memo(g), max_vertices=args.max_vertices)
     diff = (xi - p).coefficients
     if diff:
         k = next(k for k, c in enumerate(diff) if c)
@@ -265,7 +268,7 @@ def _fp_check(g: Graph, args):
 
 
 def _zero_free_check(g: Graph, args):
-    rep = verify_zero_free(g, max_vertices=args.max_vertices)
+    rep = verify_zero_free(g, cache=_chrom_memo(g), max_vertices=args.max_vertices)
     reference = rep.c_star_graph if rep.c_star_graph is not None else rep.c_star_delta
     return rep.zero_free_verified, (
         f"max root modulus {rep.max_root_modulus:.6g} vs bound {reference:.6g}"

@@ -13,7 +13,9 @@ vectors coefficientwise. The S of every connected set of a graph at
 once comes from one subset recursion, the exponential formula solved
 at each set's lowest vertex; the S of a whole graph, in the Penrose
 report, is the linear coefficient of its coloring polynomial, taken
-from the deletion-contraction engine. The module counts the rooted
+from the deletion-contraction engine through ``_CHROM_CACHE``, the
+bounded memo that ``verify``'s other polynomial checks share, so that
+one ``verify`` runs deletion-contraction once. The module counts the rooted
 spanning trees that meet the generation conditions under which the
 signed sum collapses to a single count, by subset DPs over layerings
 and sibling-free forests. Both DPs multiply out over the components of
@@ -47,11 +49,25 @@ _PARTITION_VERTEX_CAP = 8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SUBSET_SIZE_CAP = 16
 
-# Coloring-polynomial subresults are shared across penrose_report calls,
-# keyed by canonical form; emptied once it holds more than
-# _CHROM_CACHE_CAP entries, so a long sweep cannot grow it without limit.
+# Coloring-polynomial subresults, keyed by canonical form, shared by
+# penrose_report and verify's partition and zero-free checks. Every user
+# takes it from _chrom_memo, which empties it when a new graph finds it
+# holding more than _CHROM_CACHE_CAP entries, so a long sweep cannot grow
+# it without limit, while the checks of one graph keep its entries.
 _CHROM_CACHE: dict = {}
 _CHROM_CACHE_CAP = 10_000
+_chrom_cache_graph: tuple[int, ...] | None = None
+
+
+def _chrom_memo(g: Graph) -> dict:
+    """``_CHROM_CACHE`` for a computation on g, emptied first if it has
+    outgrown its cap on other graphs."""
+    global _chrom_cache_graph
+    masks = g.adjacency_masks
+    if len(_CHROM_CACHE) > _CHROM_CACHE_CAP and masks != _chrom_cache_graph:
+        _CHROM_CACHE.clear()
+    _chrom_cache_graph = masks
+    return _CHROM_CACHE
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +165,8 @@ def penrose_report(g: Graph) -> PenroseReport:
         weak = _sibling_free_trees(masks, rest)
     except ResourceLimitError:
         weak = None
-    if len(_CHROM_CACHE) > _CHROM_CACHE_CAP:
-        _CHROM_CACHE.clear()
     return PenroseReport(
-        s_value=_chrom(masks, _CHROM_CACHE).coefficients[1],
+        s_value=_chrom(masks, _chrom_memo(g)).coefficients[1],
         tree_count=spanning_tree_count(g),
         penrose_count=penrose,
         weak_penrose_count=weak,

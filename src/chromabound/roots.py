@@ -10,8 +10,11 @@ that rounds to an integer root is divided out exactly too. No numpy is
 involved. Only the largest modulus is certified: an exact integer root,
 or a radius the disk test passed, within 1e-9 relative of the exact
 value. The non-integer roots are uncertified approximations; where the
-float step overflows they are NaN, and the disk tests bracket the largest
-modulus in exact rationals.
+float step overflows they are NaN. The disk tests bracket the largest
+modulus in exact dyadic rationals, integers over one power of two: the
+bracket around the float estimate has its ends rounded outward to 36
+significant bits, so that the radii's short denominators keep the
+Schur-Cohn integers small.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .polynomial import IntPolynomial
 # estimate; bisection narrows any other bracket to _BRACKET_REL relative.
 _CERT_REL = 1e-10
 _BRACKET_REL = Fraction(4, 10**10)
+# The seed bracket's ends are rounded outward to this many significant
+# bits, which keeps it within _BRACKET_REL and the disk tests' radii short.
+_SEED_BITS = 36
 # Integer roots up to this modulus are divided out by trial before the
 # float step, so they come back exact and leave it a smaller polynomial;
 # a larger one is caught by rounding its approximation.
@@ -193,8 +199,9 @@ def _max_modulus(
 ) -> float:
     """Certified largest modulus over the integer roots and those of the
     layers; the first layer holds every other root once. The bracket
-    starts at the float estimate, or where that is not finite, at a power
-    of two from Fujiwara's bound: every root has |q| <= 2 max_k
+    starts at the float estimate, its ends rounded outward to
+    _SEED_BITS-bit dyadic rationals, or where that is not finite, at a
+    power of two from Fujiwara's bound: every root has |q| <= 2 max_k
     |a_{n-k}/a_n|^{1/k}, and |a_{n-k}/a_n| < 2^(bits(a_{n-k}) - bits(a_n) + 1)."""
     top = max((abs(k) for k in exact), default=0)
     if not layers:
@@ -207,33 +214,47 @@ def _max_modulus(
     if math.isfinite(seed):
         if top >= seed * (1 + _CERT_REL) and roots_inside(free, top):
             return float(top)
-        lo, hi = seed * (1 - _CERT_REL), seed * (1 + _CERT_REL)
+        lo, lo_exp = math.frexp(seed * (1 - _CERT_REL))
+        hi, hi_exp = math.frexp(seed * (1 + _CERT_REL))
+        lo, hi = math.floor(lo * 2**_SEED_BITS), math.ceil(hi * 2**_SEED_BITS)
+        exp = lo_exp - _SEED_BITS
+        hi <<= hi_exp - lo_exp  # 1 where the ends straddle a power of two
     else:
         a, n = free.coefficients, free.degree
         bits = abs(a[n]).bit_length()
-        e = max(
+        exp = max(
             -((bits - 1 - abs(a[n - k]).bit_length()) // k) for k in range(1, n + 1) if a[n - k]
         )
-        lo, hi = Fraction(2) ** e, Fraction(2) ** (e + 1)
-    return max(float(top), _certified_radius(free, Fraction(lo), Fraction(hi)))
+        lo, hi = 1, 2
+    return max(float(top), _certified_radius(free, lo, hi, exp))
 
 
-def _certified_radius(p: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
-    """A float at least hi, where every root is in |q| < hi and some root
-    at |q| >= lo, with hi - lo <= _BRACKET_REL * lo. Doubling and halving
-    move the bracket (lo, hi] until it holds the largest modulus, and
-    bisection narrows it, each end tested exactly. A largest modulus
-    beyond the float range raises ``OverflowError``.
+def _certified_radius(p: IntPolynomial, lo: int, hi: int, exp: int) -> float:
+    """The least float at least hi * 2^exp, where every root is in
+    |q| < hi * 2^exp and some root at |q| >= lo * 2^exp, with hi - lo <=
+    _BRACKET_REL * lo. The ends are integers over one power of two, so
+    only the disk tests see a ``Fraction``. Doubling and halving move the
+    bracket (lo, hi] until it holds the largest modulus, and bisection
+    narrows it, each end tested exactly. A largest modulus beyond the
+    float range raises ``OverflowError``.
     """
-    while not roots_inside(p, hi):
+    while not roots_inside(p, _dyadic(hi, exp)):
         lo, hi = hi, 2 * hi
-    while roots_inside(p, lo):
-        lo, hi = lo / 2, lo
-    while hi - lo > _BRACKET_REL * lo:
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if roots_inside(p, mid) else (mid, hi)
-    out = float(hi)
-    return out if out >= hi else math.nextafter(out, math.inf)
+    while roots_inside(p, _dyadic(lo, exp)):
+        hi, exp = 2 * lo, exp - 1
+    while (hi - lo) * _BRACKET_REL.denominator > _BRACKET_REL.numerator * lo:
+        mid, exp = lo + hi, exp - 1
+        lo, hi = (2 * lo, mid) if roots_inside(p, _dyadic(mid, exp)) else (mid, 2 * hi)
+    out = math.ldexp(hi, exp)  # rounded to nearest; round up if below
+    num, den = out.as_integer_ratio()
+    if num << max(-exp, 0) < hi * den << max(exp, 0):
+        out = math.nextafter(out, math.inf)
+    return out
+
+
+def _dyadic(num: int, exp: int) -> int | Fraction:
+    """num * 2^exp, exactly."""
+    return num << exp if exp >= 0 else Fraction(num, 1 << -exp)
 
 
 def _multiplicity_layers(coeffs: list[int]) -> list[list[int]]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from chromabound import bounds, cli, polymer
+from chromabound import Graph, bounds, chromatic, cli, generate_graph, polymer
 from chromabound.cli import _build_parser, main
 from chromabound.errors import InconclusiveError
 from cli_schemas import (
@@ -354,6 +354,101 @@ def test_verify_activity_check_names_the_exceeded_sizes(capsys, monkeypatch):
         "status": "FAIL",
         "detail": "sizes 2..5, exceeded at [3, 5]",
     }
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "petersen"],
+        ["--family", "random-regular", "--n", "8", "--seed", "1"],  # has a partition check
+    ],
+)
+@pytest.mark.parametrize("cap", [polymer._CHROM_CACHE_CAP, 1])
+def test_verify_runs_deletion_contraction_once(capsys, monkeypatch, flags, cap):
+    # A graph whose memo outgrows the cap keeps it through its own checks.
+    monkeypatch.setattr(polymer, "_CHROM_CACHE_CAP", cap)
+    g = cli._resolve_graph(_build_parser().parse_args(["verify", *flags]), None)
+    calls = []
+    real = chromatic._pick_edge
+
+    def counted(masks):
+        calls.append(masks)
+        return real(masks)
+
+    monkeypatch.setattr(chromatic, "_pick_edge", counted)
+    chromatic.chromatic_polynomial(g, cache={})
+    once = len(calls)
+    calls.clear()
+    polymer._CHROM_CACHE.clear()
+    code, out, _ = run(capsys, "verify", *flags)
+    polymer._CHROM_CACHE.clear()
+    assert code == 0
+    statuses = {c["name"]: c["status"] for c in parse_json(out)["checks"]}
+    assert statuses["penrose-identity"] == statuses["zero-free"] == "PASS"
+    assert statuses["partition-identity"] == ("PASS" if g.n <= 8 else "SKIP")
+    assert once > 0
+    assert len(calls) == once
+
+
+# The nine graphs of the verify-cli benchmark workload
+BENCHMARK_FAMILIES = [
+    ["--family", "petersen"],
+    ["--family", "complete", "--n", "6"],
+    ["--family", "cycle", "--n", "8"],
+    ["--family", "cycle", "--n", "12"],
+    ["--family", "grid", "--n", "3"],
+    ["--family", "star", "--n", "7"],
+    ["--family", "random-regular", "--n", "8", "--seed", "288545018"],
+    ["--family", "random-regular", "--n", "12", "--seed", "135520872"],
+    ["--family", "path", "--n", "8"],
+]
+
+
+def test_verify_output_does_not_depend_on_the_shared_memo(capsys):
+    def outputs(fresh: bool) -> list:
+        polymer._CHROM_CACHE.clear()
+        results = []
+        for flags in BENCHMARK_FAMILIES:
+            for fmt in ("json", "text"):
+                if fresh:
+                    polymer._CHROM_CACHE.clear()
+                results.append(run(capsys, "verify", *flags, "--format", fmt))
+        return results
+
+    fresh, shared = outputs(True), outputs(False)
+    polymer._CHROM_CACHE.clear()
+    assert shared == fresh
+    assert all(code == 0 for code, _, _ in fresh)
+
+
+def test_every_user_of_the_shared_memo_holds_its_cap(capsys, monkeypatch, tmp_path):
+    # K2,3 and a disjoint edge: K2,3 has no simplicial vertex, so its
+    # polynomial goes through the memo, and the Penrose check SKIPs.
+    g = Graph(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (5, 6)])
+    path = tmp_path / "g.txt"
+    path.write_text(f"7 {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+    monkeypatch.setattr(polymer, "_CHROM_CACHE_CAP", 3)
+    stale = {("stale", k): None for k in range(4)}
+    other = generate_graph("cycle", n=5)
+    args = argparse.Namespace(max_vertices=18)
+    uses = {
+        "penrose": lambda: polymer.penrose_report(generate_graph("petersen")),
+        "partition": lambda: cli._partition_check(g, args),
+        "zero-free": lambda: cli._zero_free_check(g, args),
+        "verify": lambda: run(capsys, "verify", "--graph", str(path)),
+    }
+    for name, use in uses.items():
+        polymer._chrom_memo(other).clear()  # the memo last served another graph
+        polymer._CHROM_CACHE.update(stale)
+        result = use()
+        assert polymer._CHROM_CACHE, name
+        assert not stale.keys() & polymer._CHROM_CACHE.keys(), name
+    polymer._CHROM_CACHE.clear()
+    code, out, _ = result
+    assert code == 0
+    statuses = {c["name"]: c["status"] for c in parse_json(out)["checks"]}
+    assert statuses.pop("penrose-identity") == "SKIP"
+    assert set(statuses.values()) == {"PASS"}
 
 
 def test_verify_text_format(capsys):

@@ -230,6 +230,33 @@ def test_max_modulus_below_the_float_range_is_certified():
     assert roots_inside(p, m)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        chromatic_polynomial(generate_graph("cycle", n=12)),
+        chromatic_polynomial(generate_graph("petersen")),
+        X**2 + 4,  # the bracket's ends straddle the power of two 2
+    ],
+)
+def test_seed_bracket_is_tested_at_short_dyadic_radii(monkeypatch, p):
+    # The Aberth estimate's bracket meets the tolerance as it stands, so
+    # the certificate is its two ends' disk tests alone.
+    radii = []
+
+    def recorded(q, radius):
+        radii.append(Fraction(radius))
+        return roots_inside(q, radius)
+
+    monkeypatch.setattr(roots, "roots_inside", recorded)
+    m = polynomial_roots(p).max_modulus
+    assert len(radii) == 2
+    for radius in radii:
+        d = radius.denominator
+        assert d & (d - 1) == 0 and d.bit_length() - 1 <= 40
+    assert roots_inside(p, m)
+    assert not roots_inside(p, m * (1 - 4e-10))
+
+
 def test_degenerate_inputs():
     with pytest.raises(ValueError):
         polynomial_roots(IntPolynomial([0]))
