@@ -94,10 +94,10 @@ def graph_id(g: Graph) -> str:
     return f"g{g.n}v{g.m}e-{digest}"
 
 
-def _minimize(f, lo: float, hi: float, **kwargs) -> OptimizationResult:
+def _minimize(f, lo: float, hi: float) -> OptimizationResult:
     """``minimize_scalar``, raising ``InconclusiveError`` when the bracket
     is still wider than the tolerance at the iteration cap."""
-    res = minimize_scalar(f, lo, hi, **kwargs)
+    res = minimize_scalar(f, lo, hi)
     if not res.tolerance_met:
         raise InconclusiveError(
             f"minimization over ({lo:.6g}, {hi:.6g}) missed its tolerance: "
@@ -238,7 +238,7 @@ def cstar_graph_series(g: Graph | NeighborhoodProfile, order: int = 64) -> float
         b = 2.0 - math.exp(-a)
         return sup_x_threshold(b, z, zt) if b < z_u0 else radius
 
-    res = _minimize(lambda a: math.exp(a) / saturation(a), 1e-3, 3.0, tol=1e-9)
+    res = _minimize(lambda a: math.exp(a) / saturation(a), 1e-3, 3.0)
     b, y = 2.0 - math.exp(-res.argmin), saturation(res.argmin)
     t = solve_tree_series(zt, z, order)[1]
     if not _partial_sum_at_most(t, y, b * (1.0 + _SERIES_SLACK)):

@@ -1,17 +1,17 @@
 """One-dimensional minimization and root bracketing.
 
 The objective functions in this package are smooth and unimodal on the
-interior of their domains but blow up at one or both endpoints, so the
-minimizer brackets the minimum between the neighbours of the least of
-32 evenly spaced interior samples and then sharpens that bracket to the
-requested tolerance by Brent's method (R. P. Brent, *Algorithms for
-Minimization without Derivatives*, 1973, ch. 5): a step to the vertex
-of the parabola through the three best points, or a golden-section
-step when that vertex leaves the bracket or the steps stop shrinking.
-Exceptions and NaNs from the objective are treated as +inf rather than
-propagated. The root finder brackets by doubling a unit step, with no
-limit on the number of doublings short of an infinite step, and then
-narrows the bracket to a fixed relative width of 1e-12 by Brent's
+interior of their domains but blow up at one or both endpoints. The
+minimizer is Brent's method (R. P. Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 5) on the whole interval: it starts at
+the golden-section point and takes a step to the vertex of the parabola
+through the three best points, or a golden-section step when that
+vertex leaves the bracket or the steps stop shrinking, until the
+bracket is 1e-10 relative wide. Exceptions and NaNs from the objective
+are treated as +inf rather than propagated, so a golden-section step
+moves away from them. The root finder brackets by doubling a unit step,
+with no limit on the number of doublings short of an infinite step, and
+then narrows the bracket to a fixed relative width of 1e-12 by Brent's
 zeroin (ch. 4): inverse quadratic or secant steps, with a bisection
 step whenever they would not shrink the bracket fast enough. On the
 smooth functions here both converge superlinearly, where golden
@@ -26,7 +26,7 @@ from typing import Callable
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _MAX_ITER = 200
-_GRID_POINTS = 32
+_ARGMIN_TOL = 1e-10
 _ROOT_TOL = 1e-12
 
 
@@ -35,8 +35,8 @@ class OptimizationResult:
     """Outcome of a scalar minimization.
 
     ``bracket`` is the final search interval, which holds ``argmin``;
-    ``tolerance_met`` records whether its width reached the requested
-    tolerance before the iteration cap. Near a minimum the objective is
+    ``tolerance_met`` records whether its width reached the tolerance
+    before the iteration cap. Near a minimum the objective is
     flat to within rounding over a width of about sqrt(eps) relative, so
     ``value`` is accurate to rounding but the true minimizer may lie
     outside a narrower bracket.
@@ -49,19 +49,13 @@ class OptimizationResult:
     tolerance_met: bool
 
 
-def minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    tol: float = 1e-10,
-) -> OptimizationResult:
+def minimize_scalar(f: Callable[[float], float], lo: float, hi: float) -> OptimizationResult:
     """Minimize f over the open interval (lo, hi).
 
-    32 evenly spaced samples bracket the minimum, so a well narrower
-    than the sample spacing can be missed. Brent's method then narrows
-    the bracket until its width is at most tol * (1 + |a| + |b|), taking
-    at most 200 steps.
+    Brent's method narrows the bracket (lo, hi) until its width is at
+    most 1e-10 (1 + |a| + |b|), taking at most 200 steps. On an
+    objective with more than one local minimum it finds one of them.
+    ``ValueError`` is raised if the least value it saw is not finite.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -76,25 +70,14 @@ def minimize_scalar(
             return math.inf
         return math.inf if math.isnan(v) else v
 
-    xs = [lo + (hi - lo) * (i + 0.5) / _GRID_POINTS for i in range(_GRID_POINTS)]
-    vals = [g(x) for x in xs]
-    k = min(range(_GRID_POINTS), key=vals.__getitem__)
-    if math.isinf(vals[k]):
-        raise ValueError("objective has no finite value on the interval")
-    a = xs[k - 1] if k > 0 else lo
-    b = xs[k + 1] if k < _GRID_POINTS - 1 else hi
-
-    # x is the best point so far, w the second best and v the previous w;
-    # the grid neighbours seed w and v, so the first step can already be
-    # parabolic.
-    x, fx = xs[k], vals[k]
-    sides = sorted((vals[j], xs[j]) for j in (k - 1, k + 1) if 0 <= j < _GRID_POINTS)
-    fw, w = sides[0]
-    fv, v = sides[-1]
-    d = e = b - a  # the last two steps
+    # x is the best point so far, w the second best and v the previous w
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = g(x)
+    d = e = 0.0  # the last two steps
     met = False
     for _ in range(_MAX_ITER):
-        width = tol * (1.0 + abs(a) + abs(b))
+        width = _ARGMIN_TOL * (1.0 + abs(a) + abs(b))
         if b - a <= width:
             met = True
             break
@@ -137,6 +120,8 @@ def minimize_scalar(
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
 
+    if not math.isfinite(fx):
+        raise ValueError("objective has no finite value on the interval")
     return OptimizationResult(
         argmin=x,
         value=fx,

@@ -233,15 +233,22 @@ def _certified_radius(p: IntPolynomial, lo: int, hi: int, exp: int) -> float:
     """The least float at least hi * 2^exp, where every root is in
     |q| < hi * 2^exp and some root at |q| >= lo * 2^exp, with hi - lo <=
     _BRACKET_REL * lo. The ends are integers over one power of two, so
-    only the disk tests see a ``Fraction``. Doubling and halving move the
-    bracket (lo, hi] until it holds the largest modulus, and bisection
-    narrows it, each end tested exactly. A largest modulus beyond the
-    float range raises ``OverflowError``.
+    only the disk tests see a ``Fraction``. Where an end of the bracket
+    (lo, hi] is on the wrong side of the largest modulus, the bracket
+    steps past that end by 16 times its width, keeping the exponent, so
+    a seed that misses by a few widths costs a few disk tests; it is
+    halved only where the step down would not stay above 0. Bisection
+    then narrows it, each end tested exactly. A largest modulus beyond
+    the float range raises ``OverflowError``.
     """
-    while not roots_inside(p, _dyadic(hi, exp)):
-        lo, hi = hi, 2 * hi
-    while roots_inside(p, _dyadic(lo, exp)):
-        hi, exp = 2 * lo, exp - 1
+    if roots_inside(p, _dyadic(hi, exp)):
+        while roots_inside(p, _dyadic(lo, exp)):
+            step = 16 * (hi - lo)
+            lo, hi, exp = (lo - step, lo, exp) if lo > step else (lo, 2 * lo, exp - 1)
+    else:
+        lo, hi = hi, hi + 16 * (hi - lo)
+        while not roots_inside(p, _dyadic(hi, exp)):
+            lo, hi = hi, hi + 16 * (hi - lo)
     while (hi - lo) * _BRACKET_REL.denominator > _BRACKET_REL.numerator * lo:
         mid, exp = lo + hi, exp - 1
         lo, hi = (2 * lo, mid) if roots_inside(p, _dyadic(mid, exp)) else (mid, 2 * hi)

@@ -12,6 +12,7 @@ from chromabound import (
     InconclusiveError,
     Graph,
     NeighborhoodProfile,
+    bisect_increasing,
     check_fp_condition,
     complete_graph_bound,
     connected_graphs,
@@ -327,22 +328,43 @@ def _assert_matches_scipy(ours, f, lo, hi):
     assert ours.value == pytest.approx(_scipy_min(f, lo, hi), rel=1e-9)
 
 
-@lru_cache(maxsize=1)
-def _profiles_up_to_7_vertices():
+@lru_cache(maxsize=None)
+def _profiles_up_to(n_max):
     profiles = {
         neighborhood_profile(g)
-        for n in range(2, 8)
+        for n in range(2, n_max + 1)
         for g in connected_graphs(n)
         if g.max_degree >= 2
     }
-    assert len(profiles) == 124
+    assert len(profiles) == {7: 124, 8: 400}[n_max]
     return sorted(profiles, key=repr)
 
 
-def test_per_graph_minimizations_take_at_most_64_evaluations():
-    # 32 grid samples and at most 32 steps of Brent's method
-    for prof in _profiles_up_to_7_vertices():
-        assert bounds._cstar_profile_opt(prof).evaluations <= 64
+def test_per_graph_minimizations_take_at_most_32_evaluations():
+    for prof in _profiles_up_to(7):
+        assert bounds._cstar_profile_opt(prof).evaluations <= 32
+
+
+def test_degree_only_minimizations_take_at_most_44_evaluations():
+    for fn in (sokal_bound, cstar_delta, cstar_delta_a_form):
+        for delta in range(2, 51):
+            assert fn(delta).evaluations <= 44, (fn.__name__, delta)
+
+
+def test_per_graph_objective_falls_then_rises():
+    # Brent's method alone finds the minimum only if there is one: on
+    # every profile of the graphs on <= 8 vertices, 1024 samples of the
+    # objective fall and then rise, and the minimum found is at most the
+    # least of them.
+    for prof in _profiles_up_to(8):
+        z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
+        x_max = bisect_increasing(z, 2.0, 0.0)
+        xs = [x_max * (i + 0.5) / 1024 for i in range(1024)]
+        samples = [zt(x) / (x * (2.0 - z(x))) for x in xs]
+        k = samples.index(min(samples))
+        assert all(u > v for u, v in zip(samples[:k], samples[1 : k + 1])), prof
+        assert all(u < v for u, v in zip(samples[k:], samples[k + 1 :])), prof
+        assert bounds._cstar_profile_opt(prof).value <= samples[k], prof
 
 
 def test_saturation_point_solves_take_at_most_20_evaluations(monkeypatch):
@@ -356,7 +378,7 @@ def test_saturation_point_solves_take_at_most_20_evaluations(monkeypatch):
         return root
 
     monkeypatch.setattr(series, "bisect_increasing", counting)
-    for prof in _profiles_up_to_7_vertices():
+    for prof in _profiles_up_to(7):
         z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
         for b in (1.01, 1.3, 1.6, 1.9, 1.99):
             series.sup_x_threshold(b, z, zt)
@@ -368,7 +390,7 @@ def test_per_graph_minimization_matches_scipy():
     pytest.importorskip("scipy")
     from scipy.optimize import brentq
 
-    for prof in _profiles_up_to_7_vertices():
+    for prof in _profiles_up_to(7):
         t, tt = prof.t, prof.t_tilde
 
         def z(x, t=t):

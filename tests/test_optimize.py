@@ -19,15 +19,43 @@ def test_nonsmooth_objective():
 
 
 def test_divergent_endpoints_are_tolerated():
-    # 1/x + x on (0, 4): the pole at the left endpoint must not poison
-    # the scan.
+    # 1/x + x on (0, 4): the pole at the left endpoint must not draw
+    # Brent's steps towards it.
     res = minimize_scalar(lambda x: 1.0 / x + x, 0.0, 4.0)
     assert res.argmin == pytest.approx(1.0, abs=1e-6)
     assert res.value == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_monotone_objective_ends_at_an_end(sign):
+    # the minimum of a monotone objective is at an end of the interval;
+    # the bracket still closes to the tolerance around it
+    lo, hi = 1.0, 3.0
+    res = minimize_scalar(lambda x: sign * x**3, lo, hi)
+    end = lo if sign > 0 else hi
+    assert res.tolerance_met
+    assert abs(res.argmin - end) <= 1e-10 * (1.0 + abs(lo) + abs(hi))
+    assert res.value == pytest.approx(sign * end**3, rel=1e-9)
+
+
+def _undefined_on_left_third(x, bad):
+    if x < 4.0 / 3.0:
+        if bad == "raise":
+            raise ZeroDivisionError
+        return float("nan")
+    return (x - 1.5) ** 2 + 1.0
+
+
+@pytest.mark.parametrize("bad", ["raise", "nan"])
+def test_objective_undefined_on_the_left_third(bad):
+    res = minimize_scalar(lambda x: _undefined_on_left_third(x, bad), 0.0, 4.0)
+    assert res.tolerance_met
+    assert res.argmin == pytest.approx(1.5, abs=1e-6)
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_no_finite_value_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no finite value"):
         minimize_scalar(lambda x: float("nan"), 0.0, 1.0)
 
 

@@ -230,6 +230,18 @@ def test_max_modulus_below_the_float_range_is_certified():
     assert roots_inside(p, m)
 
 
+def _record_disk_tests(monkeypatch):
+    """The radii of the disk tests that ``roots`` runs from now on."""
+    radii = []
+
+    def recorded(q, radius):
+        radii.append(Fraction(radius))
+        return roots_inside(q, radius)
+
+    monkeypatch.setattr(roots, "roots_inside", recorded)
+    return radii
+
+
 @pytest.mark.parametrize(
     "p",
     [
@@ -241,13 +253,7 @@ def test_max_modulus_below_the_float_range_is_certified():
 def test_seed_bracket_is_tested_at_short_dyadic_radii(monkeypatch, p):
     # The Aberth estimate's bracket meets the tolerance as it stands, so
     # the certificate is its two ends' disk tests alone.
-    radii = []
-
-    def recorded(q, radius):
-        radii.append(Fraction(radius))
-        return roots_inside(q, radius)
-
-    monkeypatch.setattr(roots, "roots_inside", recorded)
+    radii = _record_disk_tests(monkeypatch)
     m = polynomial_roots(p).max_modulus
     assert len(radii) == 2
     for radius in radii:
@@ -255,6 +261,36 @@ def test_seed_bracket_is_tested_at_short_dyadic_radii(monkeypatch, p):
         assert d & (d - 1) == 0 and d.bit_length() - 1 <= 40
     assert roots_inside(p, m)
     assert not roots_inside(p, m * (1 - 4e-10))
+
+
+@pytest.mark.parametrize("offset", [5e-9, -5e-9])
+def test_a_seed_off_by_a_few_widths_steps_geometrically(monkeypatch, offset):
+    # The seed bracket for q^2 - 2, built as from an Aberth estimate
+    # 5e-9 relative off sqrt(2), lies wholly above or wholly below the
+    # root; steps of 16 widths reach past it in a few disk tests.
+    p = X**2 - 2
+    seed = math.sqrt(2.0) * (1.0 + offset)
+    lo, exp = math.frexp(seed * (1.0 - 1e-10))
+    hi, _ = math.frexp(seed * (1.0 + 1e-10))
+    lo, hi, exp = math.floor(lo * 2**36), math.ceil(hi * 2**36), exp - 36
+    tests = _record_disk_tests(monkeypatch)
+    m = roots._certified_radius(p, lo, hi, exp)
+    assert len(tests) <= 12
+    assert roots_inside(p, m)
+    assert m <= math.sqrt(2.0) * (1.0 + 4e-10)
+
+
+def test_a_seed_just_above_the_modulus_costs_few_disk_tests(monkeypatch):
+    # The chromatic polynomial of random-regular(18, 3, seed 1). Its
+    # Aberth estimate lies 1.003e-10 relative above the largest modulus,
+    # so the seed bracket's lower end already holds every root.
+    p = IntPolynomial(
+        [0, -199500, 1198890, -3502226, 6668120, -9315422, 10152271, -8934354, 6472950,
+         -3898192, 1956549, -815872, 280195, -78056, 17222, -2899, 350, -27, 1]
+    )
+    tests = _record_disk_tests(monkeypatch)
+    assert polynomial_roots(p).max_modulus == 2.4466106127365492
+    assert len(tests) <= 8
 
 
 def test_degenerate_inputs():
