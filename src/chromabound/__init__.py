@@ -34,7 +34,7 @@ from .graphs import (
     neighborhood_profile,
     parse_graph,
 )
-from .optimize import OptimizationResult, bisect_increasing, minimize_scalar
+from .optimize import OptimizationResult, minimize_scalar
 from .polymer import (
     CnBoundReport,
     FpConditionReport,
@@ -73,7 +73,6 @@ __all__ = [
     "RootSet",
     "TruncatedSeries",
     "X",
-    "bisect_increasing",
     "canonical_form",
     "check_fp_condition",
     "chromatic_polynomial",

@@ -30,7 +30,7 @@ from functools import lru_cache
 from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
 from .errors import InconclusiveError
 from .graphs import Graph, NeighborhoodProfile, canonical_form, neighborhood_profile
-from .optimize import OptimizationResult, bisect_increasing, minimize_scalar
+from .optimize import OptimizationResult, minimize_scalar, solve_level
 from .roots import polynomial_roots
 from .series import TruncatedSeries, series_radius, solve_tree_series, sup_x_threshold
 
@@ -184,7 +184,7 @@ def _cstar_profile_opt(prof: NeighborhoodProfile) -> OptimizationResult:
     Zt are the profile's neighborhood growth polynomials."""
     z = prof.z_polynomial()
     zt = prof.z_tilde_polynomial()
-    x_max = bisect_increasing(z, 2.0, 0.0)
+    x_max = solve_level(z, 2.0)
 
     def objective(x: float) -> float:
         return zt(x) / (x * (2.0 - z(x)))

@@ -121,26 +121,29 @@ def _resolve_format(args, default: str, parser) -> str:
     return fmt
 
 
-def _has_graph_source(args) -> bool:
-    return args.graph is not None or args.family is not None
+def _has_graph_source(args, parser) -> bool:
+    if args.graph is None and args.family is None:
+        if args.n is not None or args.seed is not None:
+            parser.error("--n and --seed need --family")
+        return False
+    return True
 
 
 def _resolve_graph(args, parser) -> Graph:
     if args.graph is not None and args.family is not None:
         parser.error("give either --graph or --family, not both")
     if args.graph is not None:
+        given = [f"--{k}" for k in ("n", "seed", "delta") if getattr(args, k) is not None]
+        if given:
+            parser.error(f"--graph takes no {', '.join(given)}")
         text = Path(args.graph).read_text()
         lines = (line.strip().lower() for line in text.splitlines())
         fmt = "dimacs" if any(line.startswith("p ") for line in lines) else "edge-list"
         return parse_graph(text, fmt)
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.family.lower().replace("_", "-") == "random-regular":
-        kwargs["degree"] = args.delta if args.delta is not None else 3
-    return generate_graph(args.family, **kwargs)
+    degree = args.delta
+    if degree is None and args.family.lower().replace("_", "-") == "random-regular":
+        degree = 3
+    return generate_graph(args.family, n=args.n, seed=args.seed, degree=degree)
 
 
 def _graph_label(args, g: Graph) -> str:
@@ -174,11 +177,13 @@ def _emit(fmt: str, payload, rows: list[dict], lines: list[str] | None = None) -
 
 def _cmd_bounds(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
-    if not _has_graph_source(args):
+    if not _has_graph_source(args, parser):
         if args.delta is None:
             parser.error("bounds needs --delta or a graph source (--graph/--family)")
         if args.delta < 2:
             parser.error("--delta must be at least 2")
+        if args.order is not None:
+            parser.error("--order needs a graph source (--graph/--family)")
         s = sokal_bound(args.delta)
         c = cstar_delta(args.delta)
         payload = {
@@ -277,7 +282,7 @@ def _zero_free_check(g: Graph, args):
 
 def _cmd_verify(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
-    if not _has_graph_source(args):
+    if not _has_graph_source(args, parser):
         parser.error("verify needs a graph source (--graph/--family)")
     if args.max_vertices < 1:  # a cap below 1 would SKIP both polynomial checks
         parser.error("--max-vertices must be at least 1")
@@ -329,7 +334,7 @@ def _cmd_series(args, parser) -> int:
     fmt = _resolve_format(args, "json", parser)
     if args.order < 1:
         parser.error("--order must be at least 1")
-    if _has_graph_source(args):
+    if _has_graph_source(args, parser):
         g = _resolve_graph(args, parser)
         prof = neighborhood_profile(g)
         z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()

@@ -442,6 +442,17 @@ def _parse_endpoint_pair(s: str, lineno: int, n: int, base: int) -> tuple[int, i
 # Generators
 # ---------------------------------------------------------------------------
 
+_FAMILY_PARAMS = {
+    "complete": {"n"},
+    "cycle": {"n"},
+    "path": {"n"},
+    "star": {"n", "leaves"},
+    "grid": {"n", "rows", "cols"},
+    "petersen": set(),
+    "random-regular": {"n", "degree", "seed"},
+}
+
+
 def generate_graph(
     family: str,
     *,
@@ -457,9 +468,18 @@ def generate_graph(
     complete(n), cycle(n >= 3), path(n), star(leaves), grid(rows, cols)
     (or grid(n) for the square), petersen(), random-regular(n, degree,
     seed). The random-regular sampler is the pairing model with
-    rejection, reproducible from the seed.
+    rejection, reproducible from the seed. ``ValueError`` names any
+    parameter given that the family does not take.
     """
     fam = family.lower().replace("_", "-")
+    if fam not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown graph family {family!r}")
+    given = {"n": n, "rows": rows, "cols": cols, "leaves": leaves, "degree": degree, "seed": seed}
+    extra = [k for k, v in given.items() if v is not None and k not in _FAMILY_PARAMS[fam]]
+    if extra:
+        raise ValueError(f"graph family {fam!r} does not take {', '.join(extra)}")
+    if n is not None and (leaves, rows, cols) != (None, None, None):
+        raise ValueError(f"{fam} takes n or {'leaves' if fam == 'star' else 'rows/cols'}, not both")
     if fam == "complete":
         k = _require(n, "n")
         if k < 1:
@@ -476,17 +496,12 @@ def generate_graph(
             raise ValueError("path needs n >= 1")
         return Graph(k, [(i, i + 1) for i in range(k - 1)])
     if fam == "star":
-        k = leaves if leaves is not None else n
-        k = _require(k, "leaves")
+        k = _require(leaves if leaves is not None else n, "leaves")
         if k < 1:
             raise ValueError("star needs at least one leaf")
         return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
     if fam == "grid":
-        r, c = rows, cols
-        if r is None and c is None:
-            r = c = _require(n, "n")
-        r = _require(r, "rows")
-        c = _require(c, "cols")
+        r, c = (n, n) if n is not None else (_require(rows, "rows"), _require(cols, "cols"))
         if r < 1 or c < 1:
             raise ValueError("grid needs positive dimensions")
         edges = []
@@ -508,9 +523,7 @@ def generate_graph(
             if p < q and not (set(p) & set(q))
         ]
         return Graph(10, edges)
-    if fam == "random-regular":
-        return _random_regular(_require(n, "n"), _require(degree, "degree"), seed)
-    raise ValueError(f"unknown graph family {family!r}")
+    return _random_regular(_require(n, "n"), _require(degree, "degree"), seed)
 
 
 def _require(value, name):

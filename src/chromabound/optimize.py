@@ -1,4 +1,4 @@
-"""One-dimensional minimization and root bracketing.
+"""One-dimensional minimization and polynomial levels.
 
 The objective functions in this package are smooth and unimodal on the
 interior of their domains but blow up at one or both endpoints. The
@@ -9,13 +9,11 @@ through the three best points, or a golden-section step when that
 vertex leaves the bracket or the steps stop shrinking, until the
 bracket is 1e-10 relative wide. Exceptions and NaNs from the objective
 are treated as +inf rather than propagated, so a golden-section step
-moves away from them. The root finder brackets by doubling a unit step,
-with no limit on the number of doublings short of an infinite step, and
-then narrows the bracket to a fixed relative width of 1e-12 by Brent's
-zeroin (ch. 4): inverse quadratic or secant steps, with a bisection
-step whenever they would not shrink the bracket fast enough. On the
-smooth functions here both converge superlinearly, where golden
-section and bisection gain a fixed factor per evaluation.
+moves away from them. Every level the package solves is p(x) = target
+for a polynomial p with non-negative coefficients above its constant
+term, increasing and convex on x >= 0, so Newton's method started
+above the root falls monotonically to it and stops there at rounding
+level.
 """
 
 from __future__ import annotations
@@ -24,10 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .polynomial import IntPolynomial
+
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _MAX_ITER = 200
 _ARGMIN_TOL = 1e-10
-_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,63 +130,44 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float) -> Optimi
     )
 
 
-def bisect_increasing(f: Callable[[float], float], target: float, lo: float) -> float:
-    """Solve f(x) = target for increasing f, starting from f(lo) <= target.
+def solve_level(p: IntPolynomial, target: float) -> float:
+    """The x > 0 with p(x) = target, for p with non-negative coefficients
+    above its constant term c_0 and a finite target above c_0.
 
-    The upper end is found by doubling a unit step until f reaches the
-    target; ``ValueError`` is raised if the step becomes infinite first.
-    Brent's zeroin then narrows the bracket to a width of at most 1e-12
-    (1 + |lo| + |hi|) and returns the end where |f - target| is smaller.
+    Newton's method starts at x0 = min over k >= 1 with c_k > 0 of
+    ((target - c_0) / c_k)^(1/k): one term c_k x0^k alone reaches
+    target - c_0, so p(x0) >= target. On x >= 0 p is increasing and
+    convex, so a Newton step from a point where p >= target lands between
+    the root and that point, and the iterates fall monotonically to the
+    root: no bracket is needed. Each step evaluates p and p' in one Horner
+    pass, and the iteration stops when a step no longer lowers x.
+    ``ValueError`` is raised when a coefficient or p(x0) is past the
+    float range (about 1.8e308).
     """
-    fa = f(lo) - target
-    if fa > 0:
-        raise ValueError("f(lo) already exceeds the target")
-    a = lo
-    step = 1.0
-    b = lo + step
-    fb = f(b) - target
-    while not fb >= 0:
-        a, fa = b, fb
-        step *= 2.0
-        b = lo + step
-        if math.isinf(b):
-            raise ValueError(
-                f"could not bracket the target {target!r}: f stays below it "
-                "at every doubled step in the float range"
-            )
-        fb = f(b) - target
-
-    # b is the best estimate, c the far end of the bracket, a the previous b
-    c, fc = a, fa
-    d = e = b - a
+    try:
+        c = [float(a) for a in p.coefficients]
+    except OverflowError:
+        raise ValueError(
+            "a coefficient of the level polynomial is past the float range (about 1.8e308)"
+        ) from None
+    if not math.isfinite(target):
+        raise ValueError(f"target {target!r} is not finite")
+    if any(a < 0 for a in c[1:]):
+        raise ValueError("coefficients above the constant term must be non-negative")
+    if not target > p(0):
+        raise ValueError(f"target {target!r} does not exceed p(0)")
+    starts = [((target - c[0]) / a) ** (1.0 / k) for k, a in enumerate(c) if k and a > 0]
+    if not starts:
+        raise ValueError("no coefficient above the constant term is positive")
+    x = min(starts)
     while True:
-        if (fb > 0 and fc > 0) or (fb < 0 and fc < 0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        step_min = _ROOT_TOL * (1.0 + abs(b) + abs(c)) / 2.0
-        m = 0.5 * (c - b)
-        if abs(m) <= step_min or fb == 0:
-            return b
-        if abs(e) >= step_min and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(step_min * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > step_min else math.copysign(step_min, m)
-        fb = f(b) - target
+        v = d = 0.0  # p(x) and p'(x)
+        for a in reversed(c):
+            d = d * x + v
+            v = v * x + a
+        if v == math.inf:
+            raise ValueError(f"p passes the float range before it reaches {target!r}")
+        x_next = x - (v - target) / d
+        if not x_next < x:
+            return x
+        x = x_next

@@ -124,9 +124,6 @@ class IntPolynomial:
             k >>= 1
         return result
 
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial([i * c for i, c in enumerate(self.coefficients)][1:])
-
     def __call__(self, x):
         """Evaluate by Horner's rule; exact when x is int or Fraction."""
         acc = 0 * x  # zero of the argument's type

@@ -10,7 +10,10 @@ computed exactly over the integers in one forward pass: coefficient n
 of U depends only on the coefficients below n of the powers of U, which
 are kept in a table and extended one coefficient at a time. The module
 also locates the radius sup_u u/Zt(u) and the saturation point
-x = Z^{-1}(b)/Zt(Z^{-1}(b)) used by the bound optimizers.
+x = Z^{-1}(b)/Zt(Z^{-1}(b)) used by the bound optimizers. Both are
+levels of polynomials with non-negative coefficients above the constant
+term, Z(u) = b and u Zt'(u) - Zt(u) = 0, solved by Newton's method
+(``optimize.solve_level``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import NeighborhoodProfile
-from .optimize import bisect_increasing
+from .optimize import solve_level
 from .polynomial import IntPolynomial
 
 
@@ -118,8 +121,8 @@ def series_radius(z_tilde: IntPolynomial) -> tuple[float, float]:
         return math.inf, math.inf
     if z_tilde.degree == 1:
         return 1.0 / z_tilde.coefficients[1], math.inf
-    dz = z_tilde.derivative()
-    u0 = bisect_increasing(lambda u: u * dz(u) - z_tilde(u), 0.0, 0.0)
+    # u Zt'(u) - Zt(u) = sum_k (k - 1) t~_k u^k vanishes at the maximizer
+    u0 = solve_level(IntPolynomial([(k - 1) * c for k, c in enumerate(z_tilde.coefficients)]), 0.0)
     return u0 / z_tilde(u0), u0
 
 
@@ -135,5 +138,5 @@ def sup_x_threshold(b: float, z: IntPolynomial, z_tilde: IntPolynomial) -> float
     _check_profile_poly(z_tilde, "z_tilde")
     if z.degree < 1:
         raise ValueError("z must be non-constant to reach the level b")
-    u_b = bisect_increasing(z, float(b), 0.0)
+    u_b = solve_level(z, float(b))
     return u_b / z_tilde(u_b)

@@ -18,7 +18,6 @@ _PUBLIC = [
     "RootSet",
     "TruncatedSeries",
     "X",
-    "bisect_increasing",
     "canonical_form",
     "check_fp_condition",
     "chromatic_polynomial",
@@ -52,7 +51,7 @@ _PUBLIC = [
 
 
 def test_public_api_is_pinned():
-    assert len(_PUBLIC) == 45 and _PUBLIC == sorted(_PUBLIC)
+    assert len(_PUBLIC) == 44 and _PUBLIC == sorted(_PUBLIC)
     assert chromabound.__all__ == _PUBLIC
     for name in _PUBLIC:
         getattr(chromabound, name)

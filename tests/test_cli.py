@@ -151,6 +151,51 @@ def test_unknown_family_is_reported(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["bounds", "--delta", "1030"], ["series", "--delta", "1100", "--order", "5"]]
+)
+def test_a_degree_past_the_float_range_is_an_error(capsys, argv):
+    # from delta = 1030 on some C(delta, k) passes 1.8e308
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "past the float range" in err
+
+
+def test_the_largest_degree_in_the_float_range_has_bounds(capsys):
+    code, out, _ = run(capsys, "bounds", "--delta", "1029")
+    assert code == 0
+    assert parse_json(out)["c_star_delta_rounded"] == "7104.71"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["bounds", "--family", "petersen", "--n", "40"], 1, "'petersen' does not take n"),
+        (["bounds", "--family", "petersen", "--delta", "7"], 1, "'petersen' does not take degree"),
+        (["verify", "--family", "cycle", "--n", "8", "--seed", "3"], 1, "'cycle' does not take seed"),
+        (["series", "--family", "path", "--n", "4", "--delta", "3"], 1, "does not take degree"),
+        (["bounds", "--graph", "FILE", "--n", "3"], 2, "--graph takes no --n"),
+        (["verify", "--graph", "FILE", "--seed", "1", "--delta", "3"], 2, "takes no --seed, --delta"),
+        (["bounds", "--delta", "4", "--n", "5"], 2, "--n and --seed need --family"),
+        (["series", "--delta", "3", "--seed", "1"], 2, "--n and --seed need --family"),
+        (["bounds", "--delta", "4", "--order", "64"], 2, "--order needs a graph source"),
+    ],
+    ids=[
+        "petersen-n", "petersen-delta", "cycle-seed", "path-delta", "graph-n",
+        "graph-seed-delta", "degree-only-n", "degree-only-seed", "degree-only-order",
+    ],
+)
+def test_a_flag_the_source_does_not_read_is_an_error(capsys, tmp_path, argv, code, message):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n")
+    try:
+        got = main([str(path) if a == "FILE" else a for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert message in capsys.readouterr().err
+
+
 def test_verify_petersen(capsys):
     code, out, _ = run(capsys, "verify", "--family", "petersen")
     assert code == 0
@@ -570,8 +615,8 @@ def test_strict_parse_rejects_non_finite_constants():
 
 
 def test_series_threshold_near_the_top_of_the_float_range(capsys):
-    # z = (1 + u)^3 reaches 1e308 only past u = 2^340, beyond any fixed
-    # number of doublings that an earlier bracket search allowed
+    # z = (1 + u)^3 reaches 1e308 only at u ~ 4.6e102, where its cube is
+    # near the top of the float range
     code, out, err = run(capsys, "series", "--family", "petersen", "--b", "1e308")
     assert (code, err) == (0, "")
     u = 1e308 ** (1 / 3)

@@ -391,6 +391,24 @@ def test_generators_shape():
         generate_graph("cycle")
 
 
+@pytest.mark.parametrize(
+    "family, kwargs, message",
+    [
+        ("petersen", {"n": 40}, "'petersen' does not take n"),
+        ("petersen", {"degree": 7, "seed": 1}, "'petersen' does not take degree, seed"),
+        ("cycle", {"n": 8, "seed": 3}, "'cycle' does not take seed"),
+        ("complete", {"n": 4, "leaves": 3}, "'complete' does not take leaves"),
+        ("star", {"n": 3, "rows": 2}, "'star' does not take rows"),
+        ("star", {"n": 3, "leaves": 4}, "star takes n or leaves, not both"),
+        ("grid", {"n": 3, "rows": 2, "cols": 2}, "grid takes n or rows/cols, not both"),
+        ("random-regular", {"n": 8, "degree": 3, "seed": 1, "cols": 2}, "does not take cols"),
+    ],
+)
+def test_a_parameter_the_family_does_not_take_is_named(family, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate_graph(family, **kwargs)
+
+
 def test_random_regular_is_regular_and_reproducible():
     g1 = generate_graph("random-regular", n=10, degree=3, seed=42)
     g2 = generate_graph("random-regular", n=10, degree=3, seed=42)

@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from chromabound import bisect_increasing, minimize_scalar
+from chromabound import IntPolynomial, connected_graphs, minimize_scalar, named_corpus
+from chromabound import neighborhood_profile
+from chromabound.optimize import solve_level
 
 
 def test_quadratic_minimum():
@@ -59,22 +62,49 @@ def test_no_finite_value_raises():
         minimize_scalar(lambda x: float("nan"), 0.0, 1.0)
 
 
-def test_bisect_on_exponential():
-    root = bisect_increasing(math.exp, 5.0, 0.0)
-    assert root == pytest.approx(math.log(5.0), abs=1e-10)
+def _level_equations():
+    """(p, target) for Z(x) = 2, Z(u) = b and the radius equation
+    u Zt'(u) - Zt(u) = 0 on the 401 neighborhood profiles of the connected
+    graphs on <= 8 vertices and the named corpus."""
+    graphs = [g for n in range(2, 9) for g in connected_graphs(n)]
+    graphs += [g for _, g in named_corpus()]
+    profiles = {neighborhood_profile(g) for g in graphs if g.max_degree >= 2}
+    assert len(profiles) == 401
+    for prof in sorted(profiles, key=repr):
+        z, zt = prof.z_polynomial(), prof.z_tilde_polynomial()
+        for target in (2.0, 1.01, 1.3, 1.6, 1.9, 1.99):
+            yield z, target
+        if zt.degree >= 2:
+            yield IntPolynomial([(k - 1) * c for k, c in enumerate(zt.coefficients)]), 0.0
 
 
-def test_bisect_target_below_start():
-    with pytest.raises(ValueError):
-        bisect_increasing(math.exp, 0.5, 0.0)
+def test_level_solves_are_accurate_to_1e_13():
+    # exact signs on both sides of the root at 1e-13 relative
+    below, above = Fraction(1) - Fraction(1, 10**13), Fraction(1) + Fraction(1, 10**13)
+    for p, target in _level_equations():
+        x = Fraction(solve_level(p, target))
+        assert p(x * below) < target < p(x * above), (p, target)
 
 
-def test_bisect_doubles_without_a_step_limit():
-    # about 1000 doublings of the unit step before x reaches the target
-    root = bisect_increasing(lambda x: x, 1e300, 0.0)
-    assert root == pytest.approx(1e300, rel=1e-11)
+def test_level_solve_of_a_monomial():
+    assert solve_level(IntPolynomial([1, 0, 0, 1]), 28.0) == 3.0
+    assert solve_level(IntPolynomial([0, 1]), 1e300) == 1e300
 
 
-def test_bisect_names_an_unreachable_target():
-    with pytest.raises(ValueError, match="target 2.0"):
-        bisect_increasing(lambda x: x / (1.0 + x), 2.0, 0.0)
+@pytest.mark.parametrize(
+    "coefficients, target, message",
+    [
+        ([1, 2, -1, 3], 2.0, "must be non-negative"),
+        ([1], 2.0, "no coefficient above the constant term is positive"),
+        ([1, 1], 1.0, "does not exceed p"),
+        ([1, 1], 0.5, "does not exceed p"),
+        ([1, 1], math.inf, "is not finite"),
+        ([1, 1], math.nan, "is not finite"),
+        ([1, 10**309], 2.0, "coefficient of the level polynomial is past the float range"),
+        ([0, 10**154, 1], 1.7e308, "p passes the float range"),
+    ],
+    ids=["negative", "constant", "at-p0", "below-p0", "inf", "nan", "huge-coefficient", "p-overflows"],
+)
+def test_level_solve_rejects(coefficients, target, message):
+    with pytest.raises(ValueError, match=message):
+        solve_level(IntPolynomial(coefficients), target)
