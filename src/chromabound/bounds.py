@@ -41,8 +41,8 @@ except ImportError:
     from hashlib import sha1
 
 _ORDER_SLACK = 1e-9
-# relative room for the root solver's error in the saturation point
-_SERIES_SLACK = 1e-9
+# relative room for the level solve's error in the saturation point (about 1e-14)
+_SERIES_SLACK = 1e-13
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +73,12 @@ class BoundReport:
             and self.c_star_graph > self.c_star_delta + _ORDER_SLACK
         ):
             raise ValueError("bound ordering violated: c_star_graph > c_star_delta")
+
+    @property
+    def strongest(self) -> float:
+        """The strongest bound that applies: the per-graph one, or below
+        degree 2 the degree-2 improved one."""
+        return self.c_star_delta if self.c_star_graph is None else self.c_star_graph
 
     def to_json(self) -> dict:
         return {
@@ -199,19 +205,23 @@ def cstar_graph(g: Graph) -> BoundReport:
     degree-based fields use degree 2, the first degree where the
     formulas are meaningful.
     """
-    delta = g.max_degree
-    if delta == 0:
+    if g.max_degree == 0:
         raise ValueError("per-graph bound undefined for an edgeless graph")
-    prof = neighborhood_profile(g)
+    return _bound_report(g, neighborhood_profile(g))
+
+
+def _bound_report(g: Graph, prof: NeighborhoodProfile | None) -> BoundReport:
+    """The bounds of g from its profile, degree 2 standing in for lower
+    degrees; the per-graph bound is None below degree 2."""
+    delta = g.max_degree
     ref_delta = max(delta, 2)
-    c_graph = _cstar_profile_opt(prof).value if delta >= 2 else None
     return BoundReport(
         graph_id=graph_id(g),
         delta=delta,
         profile=prof,
         c_sokal=sokal_bound(ref_delta).value,
         c_star_delta=cstar_delta(ref_delta).value,
-        c_star_graph=c_graph,
+        c_star_graph=_cstar_profile_opt(prof).value if delta >= 2 else None,
     )
 
 
@@ -274,11 +284,11 @@ def verify_zero_free(
     """Certify the largest chromatic root modulus and compare it with the bounds.
 
     The verified flag records whether the certified largest root modulus
-    falls strictly inside the strongest applicable bound (the per-graph
-    bound for degree >= 2, the degree-2 improved bound for degenerate
-    graphs). Every root has modulus at most ``max_root_modulus``, so a
-    true flag proves the graph's chromatic polynomial zero-free on
-    |q| >= bound.
+    falls strictly inside ``BoundReport.strongest``, the strongest
+    applicable bound (the per-graph bound for degree >= 2, the degree-2
+    improved bound for degenerate graphs). Every root has modulus at
+    most ``max_root_modulus``, so a true flag proves the graph's
+    chromatic polynomial zero-free on |q| >= bound.
 
     ``tol`` is accepted and ignored: no root tolerance enters the verdict.
     ``cache`` is passed to ``chromatic_polynomial``: a dict shared with
@@ -287,23 +297,9 @@ def verify_zero_free(
     """
     p = chromatic_polynomial(g, cache=cache, max_vertices=max_vertices)
     rs = polynomial_roots(p)
-    delta = g.max_degree
-    if delta == 0:
-        report = BoundReport(
-            graph_id=graph_id(g),
-            delta=0,
-            profile=None,
-            c_sokal=sokal_bound(2).value,
-            c_star_delta=cstar_delta(2).value,
-            c_star_graph=None,
-        )
-    else:
-        report = cstar_graph(g)
-    reference = (
-        report.c_star_graph if report.c_star_graph is not None else report.c_star_delta
-    )
+    report = cstar_graph(g) if g.max_degree else _bound_report(g, None)
     return dataclasses.replace(
         report,
         max_root_modulus=rs.max_modulus,
-        zero_free_verified=rs.max_modulus < reference,
+        zero_free_verified=rs.max_modulus < report.strongest,
     )

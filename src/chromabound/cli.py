@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -49,7 +48,6 @@ from .polymer import (
 )
 from .series import series_radius, solve_tree_series, sup_x_threshold, t_n_delta
 
-_FORMAT_ENV = "CHROMABOUND_FORMAT"
 _FORMATS = ("json", "csv", "text")
 
 
@@ -97,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(func=_cmd_series)
 
     for p in (p_bounds, p_table, p_verify, p_series):
-        p.add_argument("--format", choices=_FORMATS, help="output format")
+        default = "csv" if p is p_table else "json"
+        p.add_argument("--format", choices=_FORMATS, default=default, help="output format")
     return parser
 
 
@@ -110,15 +109,6 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="vertex count for generated families")
     p.add_argument("--seed", type=int, help="seed for randomized families")
     p.add_argument("--delta", type=int, help="degree for degree-only modes and random-regular")
-
-
-def _resolve_format(args, default: str, parser) -> str:
-    fmt = args.format or os.environ.get(_FORMAT_ENV) or default
-    if fmt not in _FORMATS:
-        parser.error(
-            f"unknown output format {fmt!r} (check the {_FORMAT_ENV} environment variable)"
-        )
-    return fmt
 
 
 def _has_graph_source(args, parser) -> bool:
@@ -176,7 +166,6 @@ def _emit(fmt: str, payload, rows: list[dict], lines: list[str] | None = None) -
 
 
 def _cmd_bounds(args, parser) -> int:
-    fmt = _resolve_format(args, "json", parser)
     if not _has_graph_source(args, parser):
         if args.delta is None:
             parser.error("bounds needs --delta or a graph source (--graph/--family)")
@@ -202,12 +191,11 @@ def _cmd_bounds(args, parser) -> int:
             )
         payload = report.to_json()
     scalars = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
-    _emit(fmt, payload, [scalars])
+    _emit(args.format, payload, [scalars])
     return 0
 
 
 def _cmd_table(args, parser) -> int:
-    fmt = _resolve_format(args, "csv", parser)
     rows = [
         {
             "delta": d,
@@ -232,7 +220,7 @@ def _cmd_table(args, parser) -> int:
     grid = [{k: k for k in rows[0]}] + rows
     widths = {k: max(len(str(r[k])) for r in grid) for k in rows[0]}
     lines = ["  ".join(str(r[k]).ljust(widths[k]) for k in r) for r in grid]
-    _emit(fmt, rows, rows, lines)
+    _emit(args.format, rows, rows, lines)
     return 0
 
 
@@ -274,14 +262,12 @@ def _fp_check(g: Graph, args):
 
 def _zero_free_check(g: Graph, args):
     rep = verify_zero_free(g, cache=_chrom_memo(g), max_vertices=args.max_vertices)
-    reference = rep.c_star_graph if rep.c_star_graph is not None else rep.c_star_delta
     return rep.zero_free_verified, (
-        f"max root modulus {rep.max_root_modulus:.6g} vs bound {reference:.6g}"
+        f"max root modulus {rep.max_root_modulus:.6g} vs bound {rep.strongest:.6g}"
     )
 
 
 def _cmd_verify(args, parser) -> int:
-    fmt = _resolve_format(args, "json", parser)
     if not _has_graph_source(args, parser):
         parser.error("verify needs a graph source (--graph/--family)")
     if args.max_vertices < 1:  # a cap below 1 would SKIP both polynomial checks
@@ -326,12 +312,11 @@ def _cmd_verify(args, parser) -> int:
     payload = {"graph_id": _graph_label(args, g), "ok": ok, "checks": checks}
     lines = [f"{c['name']}: {c['status']} ({c['detail']})" for c in checks]
     lines.append(f"result: {'ok' if ok else 'failed'}")
-    _emit(fmt, payload, checks, lines)
+    _emit(args.format, payload, checks, lines)
     return 0 if ok else 1
 
 
 def _cmd_series(args, parser) -> int:
-    fmt = _resolve_format(args, "json", parser)
     if args.order < 1:
         parser.error("--order must be at least 1")
     if _has_graph_source(args, parser):
@@ -361,5 +346,5 @@ def _cmd_series(args, parser) -> int:
         "threshold_x": sup_x_threshold(args.b, z, zt) if args.b is not None else None,
     }
     rows = [{"n": i, "coefficient": c} for i, c in enumerate(coefficients, 1)]
-    _emit(fmt, payload, rows)
+    _emit(args.format, payload, rows)
     return 0

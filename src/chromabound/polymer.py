@@ -18,13 +18,14 @@ bounded memo that ``verify``'s other polynomial checks share, so that
 one ``verify`` runs deletion-contraction once. The module counts the rooted
 spanning trees that meet the generation conditions under which the
 signed sum collapses to a single count, by subset DPs over layerings
-and sibling-free forests. Both DPs multiply out over the components of
-the vertices still to place, and the forest DP picks its roots before
-the blocks they span, which carries them to 16-18-vertex graphs within
-their state cap. The convergence check bounds its geometric tail with
-a certificate. The tests hold S and both tree counts to brute-force
-oracles of their own: an edge-subset enumeration and a census of every
-spanning tree.
+and sibling-free forests. One routine runs both: it memoizes their
+states, multiplies over the components of the vertices still to place
+and stops at the state cap, so each DP only counts on one connected
+set. With the forest DP picking its roots before the blocks they span,
+this carries both to 16-18-vertex graphs within the cap. The
+convergence check bounds its geometric tail with a certificate. The
+tests hold S and both tree counts to brute-force oracles of their own:
+an edge-subset enumeration and a census of every spanning tree.
 """
 
 from __future__ import annotations
@@ -179,6 +180,71 @@ def _state_cap_error(dp: str) -> ResourceLimitError:
     )
 
 
+def _independent_subsets(masks: tuple[int, ...], pool: int, base: int = 0):
+    """Yield ``(base | C, reach)`` for every independent set C within
+    ``pool`` such that ``base | C`` is nonempty, where ``reach`` is the
+    union of the neighbourhoods of C's vertices. Each set is built once:
+    a set with free vertices F grows by each vertex b of F, and the
+    vertices of F below b, left out, are no longer free."""
+    stack = [(base, 0, pool)]
+    while stack:
+        chosen, reach, free = stack.pop()
+        if chosen:
+            yield chosen, reach
+        while free:
+            b = free & -free
+            free ^= b
+            nb = masks[b.bit_length() - 1]
+            stack.append((chosen | b, reach | nb, free & ~nb))
+
+
+def _tree_dp(masks: tuple[int, ...], rest: int, marks: int, dp: str, connected) -> int:
+    """Run a spanning-tree DP whose states are the unplaced vertices
+    ``rest`` and the marked ones ``marks`` among them, from which the
+    trees over ``rest`` grow.
+
+    No tree edge leaves a component of ``rest``, so the count is the
+    product over the components, and a component without a mark gives 0.
+    ``connected(count, tick, rest, marks)`` counts on one connected
+    ``rest``, calling ``count`` for smaller states and ``tick`` once per
+    state it visits; past ``_DP_STATE_CAP`` visits the DP raises
+    ``ResourceLimitError``. Counts are memoized on ``(rest, marks)``, and
+    the memo is emptied on the way out: the recursive closure is a
+    reference cycle, which would keep it until the next garbage
+    collection.
+    """
+    n = len(masks)
+    memo: dict[int, int] = {}
+    steps = 0
+
+    def tick() -> None:
+        nonlocal steps
+        steps += 1
+        if steps > _DP_STATE_CAP:
+            raise _state_cap_error(dp)
+
+    def count(rest: int, marks: int) -> int:
+        key = rest | marks << n
+        total = memo.get(key)
+        if total is None:
+            comps = _components_masks(masks, rest)
+            if len(comps) == 1:
+                total = connected(count, tick, rest, marks)
+            else:
+                total = 1
+                for comp in comps:
+                    total *= count(comp, marks & comp) if marks & comp else 0
+                    if not total:
+                        break
+            memo[key] = total
+        return total
+
+    try:
+        return count(rest, marks)
+    finally:
+        memo.clear()
+
+
 def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
     """Number of Penrose trees rooted at vertex 0.
 
@@ -187,157 +253,79 @@ def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
     before with j > parent(i). Such a tree is fixed by its generations
     L0 = {0}, L1, ...: each is an independent set, every vertex has a
     neighbour in the generation before (its parent is the largest one),
-    and any such layering gives a Penrose tree. ``count(rest, cand)``
-    counts the layerings of the unplaced vertices ``rest`` whose next
-    generation is drawn from ``cand``, the unplaced neighbours of the
-    last one. A candidate with no unplaced neighbour has no later parent,
-    so it joins the next generation. No host edge leaves a component of
-    the unplaced vertices, so each component is layered on its own, from
-    its own candidates, and the count is the product over components;
-    a component without a candidate is never reached and gives 0.
+    and any such layering gives a Penrose tree. A state counts the
+    layerings of the unplaced vertices whose next generation is drawn
+    from the marks, the unplaced neighbours of the last one. A candidate
+    with no unplaced neighbour has no later parent, so it joins the next
+    generation.
     """
-    n = len(masks)
-    memo: dict[int, int] = {}
-    steps = 0
 
-    def count(rest: int, cand: int) -> int:
-        nonlocal steps
-        key = rest | cand << n
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        comps = _components_masks(masks, rest)
-        if len(comps) > 1:
-            total = 1
-            for comp in comps:
-                total *= count(comp, cand & comp) if cand & comp else 0
-                if not total:
-                    break
-            memo[key] = total
-            return total
+    def layerings(count, tick, rest: int, cand: int) -> int:
         forced = 0
         for v in _mask_bits(cand):
             if not masks[v] & rest:
                 forced |= 1 << v
         total = 0
-        # independent subsets of cand holding every forced vertex, with
-        # the union of their neighbourhoods
-        stack = [(forced, 0, cand & ~forced)]
-        while stack:
-            layer, reach, free = stack.pop()
-            if free:
-                b = free & -free
-                nb = masks[b.bit_length() - 1]
-                stack.append((layer, reach, free ^ b))
-                stack.append((layer | b, reach | nb, free & ~b & ~nb))
-                continue
-            if not layer:
-                continue
-            steps += 1
-            if steps > _DP_STATE_CAP:
-                raise _state_cap_error("Penrose layering")
+        for layer, reach in _independent_subsets(masks, cand & ~forced, forced):
+            tick()
             left = rest & ~layer
             if not left:
                 total += 1
             elif reach & left:
                 total += count(left, reach & left)
-        memo[key] = total
         return total
 
-    try:
-        return count(rest, masks[0] & rest) if rest else 1
-    finally:
-        memo.clear()
+    return _tree_dp(masks, rest, masks[0] & rest, "Penrose layering", layerings)
 
 
 def _sibling_free_trees(masks: tuple[int, ...], rest: int) -> int:
     """Number of spanning trees rooted at vertex 0 in which no host edge
     joins two children of one parent (the weakly Penrose trees).
 
-    ``count(rest, roots)`` counts the forests that cover ``rest`` with
-    exactly the roots ``roots``, pairwise non-adjacent, each tree again
-    sibling-free. A tree lies within one component of ``rest``, so the
-    count is the product over the components, and a component without a
-    root gives 0. On one component, a single root a has as children a
-    nonempty independent set C of its neighbours, and the trees below
-    them are a forest on the rest with exactly the roots C. With more
-    roots, the tree of the lowest root a is a connected block that holds
-    no other root, and the other roots cover what it leaves.
+    A state counts the forests that cover the unplaced vertices with
+    exactly the marks as roots, pairwise non-adjacent, each tree again
+    sibling-free. A single root a has as children a nonempty independent
+    set of its neighbours in each component of what is left, and the
+    forests below them multiply over those components. With more roots,
+    the tree of the lowest root a is a connected block that holds no
+    other root, and the other roots cover what it leaves.
     """
-    n = len(masks)
-    memo: dict[int, int] = {}
-    steps = 0
 
-    def count(rest: int, roots: int) -> int:
-        nonlocal steps
-        key = rest | roots << n
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        comps = _components_masks(masks, rest)
-        if len(comps) > 1:
-            total = 1
-            for comp in comps:
-                total *= count(comp, roots & comp) if roots & comp else 0
-                if not total:
-                    break
-            memo[key] = total
-            return total
+    def forests(count, tick, rest: int, roots: int) -> int:
         low = roots & -roots
         others = roots ^ low
-        total = 0
         if not others:
-            inner = rest ^ low
-            if not inner:
-                return 1
-            # the children: a nonempty independent set of neighbours in
-            # each component of what is left, whose forests multiply
             total = 1
-            for comp in _components_masks(masks, inner):
+            for comp in _components_masks(masks, rest ^ low):
                 part = 0
-                stack = [(0, masks[low.bit_length() - 1] & comp)]
-                while stack:
-                    chosen, free = stack.pop()
-                    if free:
-                        b = free & -free
-                        stack.append((chosen, free ^ b))
-                        stack.append((chosen | b, free & ~b & ~masks[b.bit_length() - 1]))
-                        continue
-                    if chosen:
-                        steps += 1
-                        if steps > _DP_STATE_CAP:
-                            raise _state_cap_error("weakly Penrose")
-                        part += count(comp, chosen)
+                for children, _ in _independent_subsets(masks, masks[low.bit_length() - 1] & comp):
+                    tick()
+                    part += count(comp, children)
                 total *= part
                 if not total:
                     break
-        else:
-            # the connected blocks holding a and no other root, each once:
-            # the lowest vertex of ext is either added, bringing its new
-            # neighbours into ext, or left out of the block for good
-            allowed = rest & ~others
-            stack = [(low, masks[low.bit_length() - 1] & allowed, 0)]
-            while stack:
-                block, ext, out = stack.pop()
-                steps += 1
-                if steps > _DP_STATE_CAP:
-                    raise _state_cap_error("weakly Penrose")
-                forest = count(rest & ~block, others)
-                if forest:
-                    total += forest * count(block, low)
-                while ext:
-                    b = ext & -ext
-                    ext ^= b
-                    grown = masks[b.bit_length() - 1] & allowed & ~(block | out | ext | b)
-                    stack.append((block | b, ext | grown, out))
-                    out |= b
-        memo[key] = total
+            return total
+        total = 0
+        # the connected blocks holding a and no other root, each once:
+        # the lowest vertex of ext is either added, bringing its new
+        # neighbours into ext, or left out of the block for good
+        allowed = rest & ~others
+        stack = [(low, masks[low.bit_length() - 1] & allowed, 0)]
+        while stack:
+            block, ext, out = stack.pop()
+            tick()
+            forest = count(rest & ~block, others)
+            if forest:
+                total += forest * count(block, low)
+            while ext:
+                b = ext & -ext
+                ext ^= b
+                grown = masks[b.bit_length() - 1] & allowed & ~(block | out | ext | b)
+                stack.append((block | b, ext | grown, out))
+                out |= b
         return total
 
-    try:
-        return count(rest | 1, 1)
-    finally:
-        memo.clear()
+    return _tree_dp(masks, rest | 1, 1, "weakly Penrose", forests)
 
 
 def spanning_tree_count(g: Graph) -> int:

@@ -200,6 +200,15 @@ def test_series_form_raises_when_the_partial_sum_passes_the_level(monkeypatch):
         cstar_graph_series(generate_graph("petersen"), 64)
 
 
+def test_series_form_raises_when_the_saturation_point_is_1e_11_too_high(monkeypatch):
+    # The level solve lands within about 1e-14 of the saturation point, so
+    # the check's slack leaves no room for an error of 1e-11.
+    real = bounds.sup_x_threshold
+    monkeypatch.setattr(bounds, "sup_x_threshold", lambda b, z, zt: (1 + 1e-11) * real(b, z, zt))
+    with pytest.raises(InconclusiveError, match="partial sum"):
+        cstar_graph_series(generate_graph("petersen"), 64)
+
+
 @pytest.mark.parametrize("order", [8, 64, 540])
 def test_partial_sum_check_matches_the_rational_sum(order):
     rng = random.Random(order)
@@ -257,6 +266,7 @@ def test_verify_zero_free_triangle():
     assert rep.zero_free_verified
     assert rep.max_root_modulus == pytest.approx(2.0, abs=1e-8)
     assert rep.c_star_graph == pytest.approx(complete_graph_bound(2), rel=1e-6)
+    assert rep.strongest == rep.c_star_graph
     data = rep.to_json()
     jsonschema.validate(data, BOUND_REPORT_SCHEMA)
     assert data["zero_free_verified"] is True
@@ -266,9 +276,12 @@ def test_verify_zero_free_degenerate_graphs():
     rep = verify_zero_free(Graph(2, [(0, 1)]))
     assert rep.zero_free_verified
     assert rep.max_root_modulus == pytest.approx(1.0, abs=1e-10)
+    assert rep.strongest == rep.c_star_delta == cstar_delta(2).value
     rep = verify_zero_free(Graph(1, []))
     assert rep.zero_free_verified
     assert rep.max_root_modulus == 0.0
+    assert rep.strongest == rep.c_star_delta == cstar_delta(2).value
+    assert (rep.delta, rep.profile, rep.c_star_graph) == (0, None, None)
 
 
 def test_series_form_takes_the_profile_in_place_of_the_graph():

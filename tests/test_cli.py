@@ -67,24 +67,6 @@ def test_table_text(capsys):
     assert "delta" in out and "44.98" in out
 
 
-def test_format_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("CHROMABOUND_FORMAT", "json")
-    code, out, _ = run(capsys, "table")
-    assert code == 0
-    assert isinstance(parse_json(out), list)
-    monkeypatch.setenv("CHROMABOUND_FORMAT", "yaml")
-    with pytest.raises(SystemExit):
-        main(["table"])
-    capsys.readouterr()
-
-
-def test_explicit_format_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("CHROMABOUND_FORMAT", "text")
-    code, out, _ = run(capsys, "table", "--format", "csv")
-    assert code == 0
-    assert out.startswith("delta,sokal")
-
-
 def test_bounds_degree_only(capsys):
     code, out, _ = run(capsys, "bounds", "--delta", "4")
     assert code == 0

@@ -286,6 +286,34 @@ def test_the_weakly_penrose_dp_stops_at_the_state_cap():
         polymer._sibling_free_trees(g.adjacency_masks, ((1 << g.n) - 1) & ~1)
 
 
+_LAYERING = ("_penrose_layerings", "Penrose layering")
+_SIBLING = ("_sibling_free_trees", "weakly Penrose")
+
+
+@pytest.mark.parametrize(
+    "dp, name, kwargs, states",
+    [
+        (_LAYERING, "grid", {"rows": 4, "cols": 4}, 4639),
+        (_SIBLING, "grid", {"rows": 4, "cols": 4}, 33028),
+        (_LAYERING, "random-regular", {"n": 16, "degree": 3, "seed": 1}, 13436),
+        (_SIBLING, "random-regular", {"n": 16, "degree": 3, "seed": 1}, 72516),
+        (_LAYERING, "petersen", {}, 1017),
+        (_SIBLING, "petersen", {}, 3175),
+    ],
+)
+def test_the_tree_dps_visit_a_pinned_number_of_states(monkeypatch, dp, name, kwargs, states):
+    # What counts as a state decides which graphs verify skips: at a cap
+    # of `states` the DP finishes, and one below it the DP stops.
+    count, label = getattr(polymer, dp[0]), dp[1]
+    g = generate_graph(name, **kwargs)
+    masks, rest = g.adjacency_masks, ((1 << g.n) - 1) & ~1
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", states)
+    count(masks, rest)
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", states - 1)
+    with pytest.raises(ResourceLimitError, match=f"{label} DP visited more than {states - 1} states"):
+        count(masks, rest)
+
+
 def test_a_capped_weak_count_leaves_the_penrose_identity_standing(monkeypatch):
     # At this cap the layering DP finishes on this graph and the sibling
     # DP does not (it needs more, for 161338 trees); the identity
