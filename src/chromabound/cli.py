@@ -39,7 +39,6 @@ from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
 from .errors import ChromaboundError, ResourceLimitError
 from .graphs import Graph, NeighborhoodProfile, generate_graph, neighborhood_profile, parse_graph
 from .polymer import (
-    _DP_STATE_CAP,
     _chrom_memo,
     check_fp_condition,
     hardcore_partition,
@@ -227,12 +226,8 @@ def _cmd_table(args, parser) -> int:
 def _penrose_check(g: Graph, args):
     rep = penrose_report(g)
     sign = -1 if (g.n - 1) % 2 else 1
-    weak = rep.weak_penrose_count
-    if weak is None:
-        weak = f"capped at {_DP_STATE_CAP} states"
     return rep.s_value == sign * rep.penrose_count, (
-        f"S={rep.s_value}, trees={rep.tree_count}, "
-        f"penrose={rep.penrose_count}, weak={weak}"
+        f"S={rep.s_value}, trees={rep.tree_count}, penrose={rep.penrose_count}"
     )
 
 

@@ -17,15 +17,13 @@ from the deletion-contraction engine through ``_CHROM_CACHE``, the
 bounded memo that ``verify``'s other polynomial checks share, so that
 one ``verify`` runs deletion-contraction once. The module counts the rooted
 spanning trees that meet the generation conditions under which the
-signed sum collapses to a single count, by subset DPs over layerings
-and sibling-free forests. One routine runs both: it memoizes their
-states, multiplies over the components of the vertices still to place
-and stops at the state cap, so each DP only counts on one connected
-set. With the forest DP picking its roots before the blocks they span,
-this carries both to 16-18-vertex graphs within the cap. The
-convergence check bounds its geometric tail with a certificate. The
-tests hold S and both tree counts to brute-force oracles of their own:
-an edge-subset enumeration and a census of every spanning tree.
+signed sum collapses to a single count, the Penrose trees, by a subset
+DP over their layerings. It memoizes its states, multiplies over the
+components of the vertices still to place and stops at the state cap,
+which carries it to 16-18-vertex graphs. The convergence check bounds
+its geometric tail with a certificate. The tests hold S and the Penrose
+count to brute-force oracles of their own: an edge-subset enumeration
+and a census of every spanning tree.
 """
 
 from __future__ import annotations
@@ -123,54 +121,43 @@ def _s_table(masks: tuple[int, ...], max_size: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Penrose and weakly Penrose trees
+# Penrose trees
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PenroseReport:
-    """Signed sum S next to the spanning-tree counts it collapses onto
-    (``weak_penrose_count`` is None where its DP reached the state cap)."""
+    """Signed sum S next to the spanning-tree counts it collapses onto."""
 
     s_value: int
     tree_count: int
     penrose_count: int
-    weak_penrose_count: int | None
 
     def __post_init__(self):
-        weak = self.tree_count if self.weak_penrose_count is None else self.weak_penrose_count
-        if not 0 <= self.penrose_count <= weak <= self.tree_count:
+        if not 0 <= self.penrose_count <= self.tree_count:
             raise ValueError("tree counts must be ordered and non-negative")
 
 
 def penrose_report(g: Graph) -> PenroseReport:
-    """Count spanning trees by class and set them against the signed sum.
+    """Count the Penrose trees and set them against the signed sum.
 
     S is the linear coefficient of the coloring polynomial, from the
-    deletion-contraction engine. The three counts come from elsewhere:
-    ``tree_count`` is Kirchhoff's count, ``penrose_count`` the layering
-    DP and ``weak_penrose_count`` the sibling DP, so the collapse
-    identity compares independent computations.
-
-    Each DP visits at most 500000 states. Past that the layering DP
-    raises ``ResourceLimitError``; the sibling DP, which the identity
-    does not use, leaves ``weak_penrose_count`` None.
+    deletion-contraction engine. The two counts come from elsewhere:
+    ``tree_count`` is Kirchhoff's count and ``penrose_count`` the
+    layering DP, so the collapse identity compares independent
+    computations. The DP visits at most 500000 states and raises
+    ``ResourceLimitError`` past that.
     """
     if g.n == 0:
         raise ValueError("signed sum needs at least one vertex")
     if not g.is_connected():
         raise ValueError("signed sum is defined for connected graphs only")
     masks = g.adjacency_masks
-    rest = ((1 << g.n) - 1) & ~1
-    penrose = _penrose_layerings(masks, rest)
-    try:
-        weak = _sibling_free_trees(masks, rest)
-    except ResourceLimitError:
-        weak = None
+    # the DP first: past its cap it raises before deletion-contraction runs
+    penrose = _penrose_layerings(masks, ((1 << g.n) - 1) & ~1)
     return PenroseReport(
         s_value=_chrom(masks, _chrom_memo(g)).coefficients[1],
         tree_count=spanning_tree_count(g),
         penrose_count=penrose,
-        weak_penrose_count=weak,
     )
 
 
@@ -180,13 +167,13 @@ def _state_cap_error(dp: str) -> ResourceLimitError:
     )
 
 
-def _independent_subsets(masks: tuple[int, ...], pool: int, base: int = 0):
-    """Yield ``(base | C, reach)`` for every independent set C within
-    ``pool`` such that ``base | C`` is nonempty, where ``reach`` is the
-    union of the neighbourhoods of C's vertices. Each set is built once:
-    a set with free vertices F grows by each vertex b of F, and the
-    vertices of F below b, left out, are no longer free."""
-    stack = [(base, 0, pool)]
+def _independent_subsets(masks: tuple[int, ...], pool: int):
+    """Yield ``(C, reach)`` for every nonempty independent set C within
+    ``pool``, where ``reach`` is the union of the neighbourhoods of C's
+    vertices. Each set is built once: a set with free vertices F grows
+    by each vertex b of F, and the vertices of F below b, left out, are
+    no longer free."""
+    stack = [(0, 0, pool)]
     while stack:
         chosen, reach, free = stack.pop()
         if chosen:
@@ -198,55 +185,9 @@ def _independent_subsets(masks: tuple[int, ...], pool: int, base: int = 0):
             stack.append((chosen | b, reach | nb, free & ~nb))
 
 
-def _tree_dp(masks: tuple[int, ...], rest: int, marks: int, dp: str, connected) -> int:
-    """Run a spanning-tree DP whose states are the unplaced vertices
-    ``rest`` and the marked ones ``marks`` among them, from which the
-    trees over ``rest`` grow.
-
-    No tree edge leaves a component of ``rest``, so the count is the
-    product over the components, and a component without a mark gives 0.
-    ``connected(count, tick, rest, marks)`` counts on one connected
-    ``rest``, calling ``count`` for smaller states and ``tick`` once per
-    state it visits; past ``_DP_STATE_CAP`` visits the DP raises
-    ``ResourceLimitError``. Counts are memoized on ``(rest, marks)``, and
-    the memo is emptied on the way out: the recursive closure is a
-    reference cycle, which would keep it until the next garbage
-    collection.
-    """
-    n = len(masks)
-    memo: dict[int, int] = {}
-    steps = 0
-
-    def tick() -> None:
-        nonlocal steps
-        steps += 1
-        if steps > _DP_STATE_CAP:
-            raise _state_cap_error(dp)
-
-    def count(rest: int, marks: int) -> int:
-        key = rest | marks << n
-        total = memo.get(key)
-        if total is None:
-            comps = _components_masks(masks, rest)
-            if len(comps) == 1:
-                total = connected(count, tick, rest, marks)
-            else:
-                total = 1
-                for comp in comps:
-                    total *= count(comp, marks & comp) if marks & comp else 0
-                    if not total:
-                        break
-            memo[key] = total
-        return total
-
-    try:
-        return count(rest, marks)
-    finally:
-        memo.clear()
-
-
 def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
-    """Number of Penrose trees rooted at vertex 0.
+    """Number of Penrose trees rooted at vertex 0, whose other vertices
+    are ``rest``.
 
     In a Penrose tree no host edge joins two vertices of one generation,
     and no host edge joins a vertex i to a vertex j of the generation
@@ -255,77 +196,54 @@ def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
     neighbour in the generation before (its parent is the largest one),
     and any such layering gives a Penrose tree. A state counts the
     layerings of the unplaced vertices whose next generation is drawn
-    from the marks, the unplaced neighbours of the last one. A candidate
-    with no unplaced neighbour has no later parent, so it joins the next
-    generation.
-    """
+    from the candidates, the unplaced neighbours of the last one.
 
-    def layerings(count, tick, rest: int, cand: int) -> int:
-        forced = 0
-        for v in _mask_bits(cand):
-            if not masks[v] & rest:
-                forced |= 1 << v
-        total = 0
-        for layer, reach in _independent_subsets(masks, cand & ~forced, forced):
-            tick()
-            left = rest & ~layer
-            if not left:
-                total += 1
-            elif reach & left:
-                total += count(left, reach & left)
+    No tree edge leaves a component of the unplaced set, so a state's
+    count is the product over its components, and a component without a
+    candidate gives 0. Layers are drawn only from a connected unplaced
+    set: in one of two or more vertices every candidate has an unplaced
+    neighbour, and a single vertex is its own only candidate, so no
+    candidate has to join the next generation for want of a later
+    parent, and no such candidate is looked for. Past ``_DP_STATE_CAP``
+    visited states the DP raises ``ResourceLimitError``. Counts are
+    memoized on the state, and the memo is emptied on the way out: the
+    recursive closure is a reference cycle, which would keep it until
+    the next garbage collection.
+    """
+    n = len(masks)
+    memo: dict[int, int] = {}
+    steps = 0
+
+    def count(rest: int, cand: int) -> int:
+        nonlocal steps
+        key = rest | cand << n
+        total = memo.get(key)
+        if total is None:
+            comps = _components_masks(masks, rest)
+            if len(comps) == 1:
+                total = 0
+                for layer, reach in _independent_subsets(masks, cand):
+                    steps += 1
+                    if steps > _DP_STATE_CAP:
+                        raise _state_cap_error("Penrose layering")
+                    left = rest & ~layer
+                    if not left:
+                        total += 1
+                    elif reach & left:
+                        total += count(left, reach & left)
+            else:
+                total = 1
+                for comp in comps:
+                    total *= count(comp, cand & comp) if cand & comp else 0
+                    if not total:
+                        break
+            memo[key] = total
         return total
 
-    return _tree_dp(masks, rest, masks[0] & rest, "Penrose layering", layerings)
-
-
-def _sibling_free_trees(masks: tuple[int, ...], rest: int) -> int:
-    """Number of spanning trees rooted at vertex 0 in which no host edge
-    joins two children of one parent (the weakly Penrose trees).
-
-    A state counts the forests that cover the unplaced vertices with
-    exactly the marks as roots, pairwise non-adjacent, each tree again
-    sibling-free. A single root a has as children a nonempty independent
-    set of its neighbours in each component of what is left, and the
-    forests below them multiply over those components. With more roots,
-    the tree of the lowest root a is a connected block that holds no
-    other root, and the other roots cover what it leaves.
-    """
-
-    def forests(count, tick, rest: int, roots: int) -> int:
-        low = roots & -roots
-        others = roots ^ low
-        if not others:
-            total = 1
-            for comp in _components_masks(masks, rest ^ low):
-                part = 0
-                for children, _ in _independent_subsets(masks, masks[low.bit_length() - 1] & comp):
-                    tick()
-                    part += count(comp, children)
-                total *= part
-                if not total:
-                    break
-            return total
-        total = 0
-        # the connected blocks holding a and no other root, each once:
-        # the lowest vertex of ext is either added, bringing its new
-        # neighbours into ext, or left out of the block for good
-        allowed = rest & ~others
-        stack = [(low, masks[low.bit_length() - 1] & allowed, 0)]
-        while stack:
-            block, ext, out = stack.pop()
-            tick()
-            forest = count(rest & ~block, others)
-            if forest:
-                total += forest * count(block, low)
-            while ext:
-                b = ext & -ext
-                ext ^= b
-                grown = masks[b.bit_length() - 1] & allowed & ~(block | out | ext | b)
-                stack.append((block | b, ext | grown, out))
-                out |= b
-        return total
-
-    return _tree_dp(masks, rest | 1, 1, "weakly Penrose", forests)
+    try:
+        return count(rest, masks[0] & rest)
+    finally:
+        memo.clear()
 
 
 def spanning_tree_count(g: Graph) -> int:

@@ -3,8 +3,8 @@
 ``signed_connected_sum`` enumerates edge subsets for the signed sum S
 that the polymer module takes from the chromatic engine's linear
 coefficient. ``enumerate_spanning_trees`` and ``classify_tree`` build
-and sort every rooted spanning tree for the Penrose and weakly Penrose
-counts that ``penrose_report`` takes from its DPs.
+and sort every rooted spanning tree for the Penrose count that
+``penrose_report`` takes from its layering DP.
 ``reference_canonical_masks`` refines by ranking each vertex's colour
 and sorted tuple of neighbour colours and explores every branch but
 those of interchangeable vertices; ``graphs._canonical_masks`` ranks by

@@ -207,11 +207,11 @@ def test_classification_by_hand():
 
 def test_penrose_report_examples():
     rep = penrose_report(generate_graph("complete", n=3))
-    assert rep == PenroseReport(2, 3, 2, 2)
+    assert rep == PenroseReport(2, 3, 2)
     rep = penrose_report(generate_graph("complete", n=4))
-    assert rep == PenroseReport(-6, 16, 6, 6)
+    assert rep == PenroseReport(-6, 16, 6)
     rep = penrose_report(generate_graph("cycle", n=4))
-    assert rep == PenroseReport(-3, 4, 3, 4)
+    assert rep == PenroseReport(-3, 4, 3)
 
 
 def test_penrose_identity_small_corpus():
@@ -220,13 +220,12 @@ def test_penrose_identity_small_corpus():
             rep = penrose_report(g)
             sign = -1 if (n - 1) % 2 else 1
             assert rep.s_value == sign * rep.penrose_count
-            assert rep.penrose_count <= rep.weak_penrose_count <= rep.tree_count
+            assert rep.penrose_count <= rep.tree_count
 
 
 def _census(g):
-    """(Penrose, weakly Penrose) counts by building and sorting every tree."""
-    classes = [classify_tree(t) for t in enumerate_spanning_trees(g)]
-    return classes.count("penrose"), len(classes) - classes.count("neither")
+    """The Penrose count by building and sorting every tree."""
+    return sum(classify_tree(t) == "penrose" for t in enumerate_spanning_trees(g))
 
 
 def test_penrose_dps_match_the_census():
@@ -234,7 +233,7 @@ def test_penrose_dps_match_the_census():
     for n in range(1, 8):
         for g in connected_graphs(n):
             rep = penrose_report(g)
-            assert (rep.penrose_count, rep.weak_penrose_count) == _census(g)
+            assert rep.penrose_count == _census(g)
             assert rep.tree_count == spanning_tree_count(g)
 
 
@@ -247,31 +246,27 @@ def test_penrose_dps_match_the_census_under_relabeling(data):
     perm = data.draw(st.permutations(range(n)))
     h = g.relabeled(perm)
     rep, base = penrose_report(h), penrose_report(g)
-    assert (rep.penrose_count, rep.weak_penrose_count) == _census(h)
-    # |S| does not depend on the labels; the weakly Penrose count depends
-    # on which vertex is the root.
-    assert (rep.s_value, rep.tree_count, rep.penrose_count) == (
-        base.s_value, base.tree_count, base.penrose_count
-    )
-    if perm[0] == 0:
-        assert rep == base
+    assert rep.penrose_count == _census(h)
+    # S does not depend on the labels, nor, by the identity, does the
+    # Penrose count from any root.
+    assert rep == base
 
 
 def test_penrose_counts_closed_forms():
     for n, want in [(3, 2), (6, 120), (8, 5040), (10, 362880)]:
         rep = penrose_report(generate_graph("complete", n=n))
-        assert (rep.penrose_count, rep.weak_penrose_count) == (want, want)
+        assert rep.penrose_count == want
         assert rep.tree_count == n ** (n - 2)
     for n in range(4, 41, 6):
         rep = penrose_report(generate_graph("cycle", n=n))
-        assert (rep.tree_count, rep.penrose_count, rep.weak_penrose_count) == (n, n - 1, n)
+        assert (rep.tree_count, rep.penrose_count) == (n, n - 1)
     for g in [
         generate_graph("path", n=30),
         generate_graph("star", leaves=40),
         Graph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5), (5, 6)]),
     ]:
         rep = penrose_report(g)
-        assert (rep.tree_count, rep.penrose_count, rep.weak_penrose_count) == (1, 1, 1)
+        assert (rep.tree_count, rep.penrose_count) == (1, 1)
 
 
 def test_penrose_report_stops_at_the_state_cap():
@@ -280,73 +275,40 @@ def test_penrose_report_stops_at_the_state_cap():
         penrose_report(generate_graph("random-regular", n=18, degree=4, seed=1))
 
 
-def test_the_weakly_penrose_dp_stops_at_the_state_cap():
-    g = generate_graph("grid", rows=5, cols=5)
-    with pytest.raises(ResourceLimitError, match="weakly Penrose DP visited more than 500000 states"):
-        polymer._sibling_free_trees(g.adjacency_masks, ((1 << g.n) - 1) & ~1)
-
-
-_LAYERING = ("_penrose_layerings", "Penrose layering")
-_SIBLING = ("_sibling_free_trees", "weakly Penrose")
-
-
 @pytest.mark.parametrize(
-    "dp, name, kwargs, states",
+    "name, kwargs, states",
     [
-        (_LAYERING, "grid", {"rows": 4, "cols": 4}, 4639),
-        (_SIBLING, "grid", {"rows": 4, "cols": 4}, 33028),
-        (_LAYERING, "random-regular", {"n": 16, "degree": 3, "seed": 1}, 13436),
-        (_SIBLING, "random-regular", {"n": 16, "degree": 3, "seed": 1}, 72516),
-        (_LAYERING, "petersen", {}, 1017),
-        (_SIBLING, "petersen", {}, 3175),
+        ("grid", {"rows": 4, "cols": 4}, 4639),
+        ("random-regular", {"n": 16, "degree": 3, "seed": 1}, 13436),
+        ("petersen", {}, 1017),
+        ("random-regular", {"n": 18, "degree": 3, "seed": 1}, 66696),
     ],
 )
-def test_the_tree_dps_visit_a_pinned_number_of_states(monkeypatch, dp, name, kwargs, states):
+def test_the_tree_dps_visit_a_pinned_number_of_states(monkeypatch, name, kwargs, states):
     # What counts as a state decides which graphs verify skips: at a cap
-    # of `states` the DP finishes, and one below it the DP stops.
-    count, label = getattr(polymer, dp[0]), dp[1]
+    # of `states` the layering DP finishes, and one below it the DP stops.
     g = generate_graph(name, **kwargs)
     masks, rest = g.adjacency_masks, ((1 << g.n) - 1) & ~1
     monkeypatch.setattr(polymer, "_DP_STATE_CAP", states)
-    count(masks, rest)
+    polymer._penrose_layerings(masks, rest)
     monkeypatch.setattr(polymer, "_DP_STATE_CAP", states - 1)
-    with pytest.raises(ResourceLimitError, match=f"{label} DP visited more than {states - 1} states"):
-        count(masks, rest)
-
-
-def test_a_capped_weak_count_leaves_the_penrose_identity_standing(monkeypatch):
-    # At this cap the layering DP finishes on this graph and the sibling
-    # DP does not (it needs more, for 161338 trees); the identity
-    # S = -(Penrose count) needs only the former.
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", 50_000)
-    g = generate_graph("random-regular", n=12, degree=4, seed=2)
-    rep = penrose_report(g)
-    assert (rep.s_value, rep.penrose_count, rep.weak_penrose_count) == (-32176, 32176, None)
-    assert rep.tree_count == spanning_tree_count(g)
-
-
-def _rooted_tree_counts(g):
-    """The layering and sibling DPs on g, rooted at vertex 0."""
-    rest = ((1 << g.n) - 1) & ~1
-    return (
-        polymer._penrose_layerings(g.adjacency_masks, rest),
-        polymer._sibling_free_trees(g.adjacency_masks, rest),
-    )
+    with pytest.raises(ResourceLimitError, match=f"Penrose layering DP visited more than {states - 1} states"):
+        polymer._penrose_layerings(masks, rest)
 
 
 @pytest.mark.parametrize(
-    "name, kwargs, counts",
+    "name, kwargs, count",
     [
-        ("grid", {"rows": 4, "cols": 4}, (17493, 100352)),
-        ("random-regular", {"n": 16, "degree": 3, "seed": 1}, (37752, 169752)),
-        ("random-regular", {"n": 18, "degree": 3, "seed": 1}, (199500, 714807)),
+        ("grid", {"rows": 4, "cols": 4}, 17493),
+        ("random-regular", {"n": 16, "degree": 3, "seed": 1}, 37752),
+        ("random-regular", {"n": 18, "degree": 3, "seed": 1}, 199500),
     ],
 )
-def test_penrose_dp_counts_at_sixteen_to_eighteen_vertices(name, kwargs, counts):
-    # The first two are the counts the DPs gave before they split the
-    # unplaced vertices into components; the third weak count was then
-    # past the cap.
-    assert _rooted_tree_counts(generate_graph(name, **kwargs)) == counts
+def test_penrose_dp_counts_at_sixteen_to_eighteen_vertices(name, kwargs, count):
+    # The first two are the counts the DP gave before it split the
+    # unplaced vertices into components.
+    g = generate_graph(name, **kwargs)
+    assert polymer._penrose_layerings(g.adjacency_masks, ((1 << g.n) - 1) & ~1) == count
 
 
 def test_the_layering_dp_reaches_a_sixteen_vertex_quartic_graph():
@@ -357,12 +319,11 @@ def test_the_layering_dp_reaches_a_sixteen_vertex_quartic_graph():
 
 
 def test_penrose_report_validation_and_json():
-    for counts in [(2, 3, 4, 2), (2, 3, 4, None), (2, 3, 2, 1)]:
+    for counts in [(2, 3, 4), (0, 1, -1)]:
         with pytest.raises(ValueError):
             PenroseReport(*counts)
-    assert PenroseReport(2, 3, 2, None).weak_penrose_count is None
     rep = penrose_report(generate_graph("cycle", n=5))
-    assert rep == PenroseReport(s_value=4, tree_count=5, penrose_count=4, weak_penrose_count=5)
+    assert rep == PenroseReport(s_value=4, tree_count=5, penrose_count=4)
 
 
 def _xi(g: Graph, q) -> Fraction:
