@@ -223,6 +223,34 @@ def test_verify_complete_10_passes_penrose_identity(capsys):
     assert checks["partition-identity"]["status"] == "SKIP"
 
 
+def _verify_penrose_at_cap(capsys, monkeypatch, cap):
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", cap)
+    code, out, _ = run(
+        capsys, "verify", "--family", "random-regular", "--n", "12", "--delta", "4", "--seed", "2"
+    )
+    assert code == 0
+    return {c["name"]: c for c in parse_json(out)["checks"]}["penrose-identity"]
+
+
+def test_verify_passes_the_penrose_identity_at_the_layering_dps_own_state_count(
+    capsys, monkeypatch
+):
+    # The layering DP visits 13569 states on this graph.
+    assert _verify_penrose_at_cap(capsys, monkeypatch, 13569) == {
+        "name": "penrose-identity",
+        "status": "PASS",
+        "detail": "S=-32176, trees=366832, penrose=32176",
+    }
+
+
+def test_verify_names_the_cap_of_a_penrose_count_it_could_not_finish(capsys, monkeypatch):
+    assert _verify_penrose_at_cap(capsys, monkeypatch, 13568) == {
+        "name": "penrose-identity",
+        "status": "SKIP",
+        "detail": "the Penrose layering DP visited more than 13568 states, its cap",
+    }
+
+
 def test_verify_polynomial_cap_skips_zero_free(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "cycle", "--n", "12", "--max-vertices", "10"

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -282,6 +283,9 @@ def test_penrose_report_stops_at_the_state_cap():
         ("random-regular", {"n": 16, "degree": 3, "seed": 1}, 13436),
         ("petersen", {}, 1017),
         ("random-regular", {"n": 18, "degree": 3, "seed": 1}, 66696),
+        ("random-regular", {"n": 12, "degree": 4, "seed": 2}, 13569),
+        ("grid", {"rows": 5, "cols": 5}, 310820),
+        ("random-regular", {"n": 16, "degree": 4, "seed": 2}, 364475),
     ],
 )
 def test_the_tree_dps_visit_a_pinned_number_of_states(monkeypatch, name, kwargs, states):
@@ -294,6 +298,21 @@ def test_the_tree_dps_visit_a_pinned_number_of_states(monkeypatch, name, kwargs,
     monkeypatch.setattr(polymer, "_DP_STATE_CAP", states - 1)
     with pytest.raises(ResourceLimitError, match=f"Penrose layering DP visited more than {states - 1} states"):
         polymer._penrose_layerings(masks, rest)
+
+
+def test_the_penrose_report_holds_the_signed_sum_and_two_tree_counts():
+    assert [f.name for f in dataclasses.fields(PenroseReport)] == [
+        "s_value", "tree_count", "penrose_count"
+    ]
+
+
+def test_a_cap_the_layering_dp_fits_under_gives_the_whole_report(monkeypatch):
+    # The layering DP needs 13569 states on this graph, so at a cap of
+    # 50000 the report is complete: nothing else in it counts states.
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", 50_000)
+    g = generate_graph("random-regular", n=12, degree=4, seed=2)
+    assert penrose_report(g) == PenroseReport(-32176, 366832, 32176)
+    assert spanning_tree_count(g) == 366832
 
 
 @pytest.mark.parametrize(
