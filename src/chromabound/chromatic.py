@@ -33,13 +33,16 @@ def chromatic_polynomial(
     results between related graphs; pass nothing to keep the memo
     confined to this computation. Results are identical either way.
     """
-    if g.n > max_vertices:
-        raise ResourceLimitError(
-            f"graph has {g.n} vertices, exceeding the cap of {max_vertices}"
-        )
+    _vertex_cap(g, max_vertices)
     if cache is None:
         cache = {}
     return _chrom(g.adjacency_masks, cache)
+
+
+def _vertex_cap(g: Graph, cap: int) -> None:
+    """Raise ``ResourceLimitError`` if g has more than ``cap`` vertices."""
+    if g.n > cap:
+        raise ResourceLimitError(f"graph has {g.n} vertices, exceeding the cap of {cap}")
 
 
 def _chrom(masks: tuple[int, ...], cache: dict) -> IntPolynomial:

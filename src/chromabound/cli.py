@@ -11,8 +11,9 @@ text output is not one ``key: value`` line per field, its text lines;
 one emitter, ``_emit``, prints the chosen format. Each ``verify`` check
 returns ``(ok, detail)``, and one rule turns a library cap
 (``ResourceLimitError``) into a SKIP with the cap's message. The three
-checks that need the chromatic polynomial share ``polymer``'s bounded
-memo, so ``verify`` computes it once.
+checks that need the chromatic polynomial apply ``--max-vertices`` before
+any other work and share ``polymer``'s memo, so ``verify`` computes it
+once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .bounds import (
     sokal_bound,
     verify_zero_free,
 )
-from .chromatic import _DEFAULT_VERTEX_CAP, chromatic_polynomial
+from .chromatic import _DEFAULT_VERTEX_CAP, _vertex_cap, chromatic_polynomial
 from .errors import ChromaboundError, ResourceLimitError
 from .graphs import Graph, NeighborhoodProfile, generate_graph, neighborhood_profile, parse_graph
 from .polymer import (
@@ -125,10 +126,7 @@ def _resolve_graph(args, parser) -> Graph:
         given = [f"--{k}" for k in ("n", "seed", "delta") if getattr(args, k) is not None]
         if given:
             parser.error(f"--graph takes no {', '.join(given)}")
-        text = Path(args.graph).read_text()
-        lines = (line.strip().lower() for line in text.splitlines())
-        fmt = "dimacs" if any(line.startswith("p ") for line in lines) else "edge-list"
-        return parse_graph(text, fmt)
+        return parse_graph(Path(args.graph).read_text())
     degree = args.delta
     if degree is None and args.family.lower().replace("_", "-") == "random-regular":
         degree = 3
@@ -224,6 +222,7 @@ def _cmd_table(args, parser) -> int:
 
 
 def _penrose_check(g: Graph, args):
+    _vertex_cap(g, args.max_vertices)
     rep = penrose_report(g)
     sign = -1 if (g.n - 1) % 2 else 1
     return rep.s_value == sign * rep.penrose_count, (
@@ -232,6 +231,7 @@ def _penrose_check(g: Graph, args):
 
 
 def _partition_check(g: Graph, args):
+    _vertex_cap(g, args.max_vertices)
     xi = hardcore_partition(g)
     p = chromatic_polynomial(g, cache=_chrom_memo(g), max_vertices=args.max_vertices)
     diff = (xi - p).coefficients
@@ -265,7 +265,7 @@ def _zero_free_check(g: Graph, args):
 def _cmd_verify(args, parser) -> int:
     if not _has_graph_source(args, parser):
         parser.error("verify needs a graph source (--graph/--family)")
-    if args.max_vertices < 1:  # a cap below 1 would SKIP both polynomial checks
+    if args.max_vertices < 1:  # a cap below 1 would SKIP every check that needs P
         parser.error("--max-vertices must be at least 1")
     g = _resolve_graph(args, parser)
     if not 0 < args.q < math.inf:

@@ -338,19 +338,19 @@ def _interchangeable(masks: tuple[int, ...], v: int, u: int) -> bool:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse_graph(text: str, format: str) -> Graph:
-    """Parse a graph from text.
+def parse_graph(text: str) -> Graph:
+    """Parse a graph from text, in the format that the text shows.
 
-    Formats: ``edge-list`` (header "n m", then m lines "u v", 0-based,
-    '#' comment lines ignored) and ``dimacs`` ("p edge n m" then m lines
-    "e u v", 1-based). Duplicate edges collapse silently; self-loops and
-    out-of-range endpoints are errors naming the offending line.
+    Text with a line starting "p " (any case, after leading blanks) is
+    DIMACS ("p edge n m" then m lines "e u v", 1-based, "c" comment
+    lines ignored); any other text is an edge list (header "n m", then m
+    lines "u v", 0-based, '#' comment lines ignored). Duplicate edges
+    collapse silently; self-loops and out-of-range endpoints are errors
+    naming the offending line.
     """
-    if format == "edge-list":
-        return _parse_edge_list(text)
-    if format == "dimacs":
+    if any(line.strip().lower().startswith("p ") for line in text.splitlines()):
         return _parse_dimacs(text)
-    raise ValueError(f"unknown graph format {format!r}")
+    return _parse_edge_list(text)
 
 
 def _data_lines(text: str, comment: str) -> Iterator[tuple[int, str]]:

@@ -14,16 +14,16 @@ once comes from one subset recursion, the exponential formula solved
 at each set's lowest vertex; the S of a whole graph, in the Penrose
 report, is the linear coefficient of its coloring polynomial, taken
 from the deletion-contraction engine through ``_CHROM_CACHE``, the
-bounded memo that ``verify``'s other polynomial checks share, so that
-one ``verify`` runs deletion-contraction once. The module counts the rooted
-spanning trees that meet the generation conditions under which the
-signed sum collapses to a single count, the Penrose trees, by a subset
-DP over their layerings. It memoizes its states, multiplies over the
-components of the vertices still to place and stops at the state cap,
-which carries it to 16-18-vertex graphs. The convergence check bounds
-its geometric tail with a certificate. The tests hold S and the Penrose
-count to brute-force oracles of their own: an edge-subset enumeration
-and a census of every spanning tree.
+memo of one graph's subresults that ``verify``'s other polynomial
+checks share, so that one ``verify`` runs deletion-contraction once.
+The module counts the rooted spanning trees that meet the generation
+conditions under which the signed sum collapses to a single count, the
+Penrose trees, by a subset DP over their layerings. It memoizes its
+states, multiplies over the components of the vertices still to place
+and stops at the state cap, which carries it to 16-18-vertex graphs.
+The convergence check bounds its geometric tail with a certificate.
+The tests hold S and the Penrose count to brute-force oracles of their
+own: an edge-subset enumeration and a census of every spanning tree.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .chromatic import _chrom
+from .chromatic import _chrom, _vertex_cap
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
@@ -46,26 +46,23 @@ from .series import solve_tree_series
 _DP_STATE_CAP = 500_000
 _PARTITION_VERTEX_CAP = 8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_SUBSET_SIZE_CAP = 16
 
 # Coloring-polynomial subresults, keyed by canonical form, shared by
 # penrose_report and verify's partition and zero-free checks. Every user
-# takes it from _chrom_memo, which empties it when a new graph finds it
-# holding more than _CHROM_CACHE_CAP entries, so a long sweep cannot grow
-# it without limit, while the checks of one graph keep its entries.
+# takes it from _chrom_memo, so it holds the subresults of one graph.
 _CHROM_CACHE: dict = {}
-_CHROM_CACHE_CAP = 10_000
 _chrom_cache_graph: tuple[int, ...] | None = None
 
 
 def _chrom_memo(g: Graph) -> dict:
-    """``_CHROM_CACHE`` for a computation on g, emptied first if it has
-    outgrown its cap on other graphs."""
+    """``_CHROM_CACHE`` for a computation on g, emptied first whenever
+    the last graph to ask for it was a different one, so that the checks
+    of one graph share their subresults and a sweep keeps one graph's."""
     global _chrom_cache_graph
     masks = g.adjacency_masks
-    if len(_CHROM_CACHE) > _CHROM_CACHE_CAP and masks != _chrom_cache_graph:
+    if masks != _chrom_cache_graph:
         _CHROM_CACHE.clear()
-    _chrom_cache_graph = masks
+        _chrom_cache_graph = masks
     return _CHROM_CACHE
 
 
@@ -292,10 +289,7 @@ def hardcore_partition(g: Graph) -> IntPolynomial:
     is either bare or in a monomer m inside A, so U(empty) = 1 and
     U(A) = q [U(A - v) + sum S(m) U(A - m)].
     """
-    if g.n > _PARTITION_VERTEX_CAP:
-        raise ResourceLimitError(
-            f"graph has {g.n} vertices, exceeding the cap of {_PARTITION_VERTEX_CAP}"
-        )
+    _vertex_cap(g, _PARTITION_VERTEX_CAP)
     at_low: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for mask, s in _s_table(g.adjacency_masks, g.n).items():
         if mask & (mask - 1):
@@ -320,11 +314,9 @@ def hardcore_partition(g: Graph) -> IntPolynomial:
 def _norms_scaled(g: Graph, top: int) -> tuple[int, ...]:
     """The activity norms with their q-powers stripped off, at sizes 2 to
     ``top``: at size k, the largest sum over a vertex x of |S| over the
-    size-k monomers that hold x. One table of signed sums gives them all."""
-    if top > _SUBSET_SIZE_CAP:
-        raise ResourceLimitError(
-            f"subset enumeration capped at size {_SUBSET_SIZE_CAP}"
-        )
+    size-k monomers that hold x. One table of signed sums gives them all;
+    it raises ``ResourceLimitError`` past its 500000 sets, whatever
+    ``top`` is."""
     totals = [[0] * g.n for _ in range(top + 1)]
     for mask, s in _s_table(g.adjacency_masks, min(top, g.n)).items():
         at_size, s = totals[mask.bit_count()], abs(s)
@@ -413,7 +405,9 @@ def check_fp_condition(g: Graph, q: float, a: float, order: int) -> FpConditionR
     e^a - 1 (conclusive regardless of the tail), "satisfied" when head
     plus the certified geometric tail stays within it, and
     "inconclusive" otherwise, in particular whenever the tail ratio
-    reaches 1 and certification is impossible.
+    reaches 1 and certification is impossible. The head takes the signed
+    sum of every connected set of at most ``order`` vertices from one
+    table, whose 500000-set cap is the only limit on ``order``.
     """
     if not 0 < q < math.inf:
         raise ValueError("q must be positive and finite")

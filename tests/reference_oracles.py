@@ -28,6 +28,7 @@ connectivity with its own union-find.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,11 +53,14 @@ def _find(parents: list[int], x: int) -> int:
 
 
 def _component_count(parents: list[int], edges) -> int:
-    """Components of the forest ``parents`` once ``edges`` join it; the
-    forest itself is left as it was."""
+    """Components of the forest ``parents`` once ``edges`` join it, or 1
+    as soon as they are joined into one; the forest itself is left as it
+    was. Each component of the forest has one root, its own parent."""
     scratch = list(parents)
-    comps = len({_find(scratch, v) for v in range(len(scratch))})
+    comps = sum(map(operator.eq, scratch, range(len(scratch))))
     for u, v in edges:
+        if comps == 1:
+            break
         ru, rv = _find(scratch, u), _find(scratch, v)
         if ru != rv:
             scratch[ru] = rv
@@ -66,8 +70,9 @@ def _component_count(parents: list[int], edges) -> int:
 
 @lru_cache(maxsize=16)
 def _edge_set(g: Graph) -> frozenset[tuple[int, int]]:
-    """The edge set of g, read once per graph: ``Graph.edges`` is rebuilt
-    from the adjacency on every access, and the census reads it per edge."""
+    """The edge set of g, built once per graph while g is among the last
+    16 asked for: ``Graph.edges`` is rebuilt from the adjacency on every
+    access, and the census checks and sorts every tree against it."""
     return g.edges
 
 
@@ -143,8 +148,9 @@ class RootedSpanningTree:
             raise ValueError("parent map must cover exactly the non-root vertices")
         if self.depth.get(self.root) != 0:
             raise ValueError("root must have depth 0")
+        host_edges = _edge_set(self.host)
         for v, p in self.parent.items():
-            if (min(v, p), max(v, p)) not in _edge_set(self.host):
+            if (min(v, p), max(v, p)) not in host_edges:
                 raise ValueError(f"tree edge {{{v}, {p}}} is not a host edge")
             if self.depth.get(v) != self.depth.get(p, -2) + 1:
                 raise ValueError("depth must increase by 1 along parent links")
@@ -160,42 +166,43 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[RootedSpanningTree]:
     """Every spanning tree of g exactly once, rooted at vertex 0.
 
     Edge-by-edge inclusion/exclusion: an edge is included only when it
-    joins two current components, and a branch is abandoned as soon as
-    the chosen plus remaining edges can no longer connect the graph.
+    joins two current components, and it is excluded only when the chosen
+    plus the remaining edges still connect the graph. So every branch
+    keeps the graph connectable, and one short of n - 1 chosen edges
+    always has an edge left to decide.
     """
     edges = _require_connected(g, "a spanning tree")
-    n, m = g.n, len(edges)
-
-    def rec(i: int, parents: list[int], chosen: list[tuple[int, int]]):
+    n = g.n
+    # (next edge, union-find forest of the chosen edges, chosen edges)
+    stack = [(0, list(range(n)), [])]
+    while stack:
+        i, parents, chosen = stack.pop()
         if len(chosen) == n - 1:
             yield _root_tree(g, chosen)
-            return
-        if i == m or _component_count(parents, edges[i:]) != 1:
-            return
+            continue
+        if _component_count(parents, edges[i + 1:]) == 1:
+            stack.append((i + 1, parents, chosen))
         u, v = edges[i]
         ru, rv = _find(parents, u), _find(parents, v)
         if ru != rv:
             merged = list(parents)
             merged[ru] = rv
-            yield from rec(i + 1, merged, chosen + [(u, v)])
-        yield from rec(i + 1, parents, chosen)
-
-    yield from rec(0, list(range(n)), [])
+            stack.append((i + 1, merged, chosen + [(u, v)]))
 
 
 def _root_tree(g: Graph, tree_edges: list[tuple[int, int]]) -> RootedSpanningTree:
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in tree_edges:
         adj[u].append(v)
         adj[v].append(u)
     parent: dict[int, int] = {}
     depth = {0: 0}
     queue = [0]
-    while queue:
-        v = queue.pop()
+    for v in queue:  # breadth first; the list grows as it is read
+        d = depth[v] + 1
         for w in adj[v]:
             if w not in depth:
-                depth[w] = depth[v] + 1
+                depth[w] = d
                 parent[w] = v
                 queue.append(w)
     return RootedSpanningTree(host=g, parent=parent, depth=depth)
@@ -208,15 +215,14 @@ def classify_tree(t: RootedSpanningTree) -> str:
     edge {i, j} has depth(j) = depth(i) - 1 with j > parent(i).
     "weakly-penrose-only": not that, but no host edge joins two
     children of a common parent. "neither": some host edge does.
+    A tree edge joins a vertex to its parent, one generation up, and so
+    meets none of these conditions.
     """
-    tree_edges = t.edges
     depth, parent = t.depth, t.parent
     same_gen_ok = True
     cross_gen_ok = True
     sibling_ok = True
     for i, j in _edge_set(t.host):
-        if (i, j) in tree_edges:
-            continue
         di, dj = depth[i], depth[j]
         if di == dj:
             same_gen_ok = False

@@ -251,21 +251,21 @@ def test_verify_names_the_cap_of_a_penrose_count_it_could_not_finish(capsys, mon
     }
 
 
-def test_verify_polynomial_cap_skips_zero_free(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--family", "cycle", "--n", "12", "--max-vertices", "10"
-    )
+@pytest.mark.parametrize(
+    "flags, n, cap",
+    [(["--family", "grid", "--n", "4"], 16, 5), (["--family", "cycle", "--n", "12"], 12, 10)],
+)
+def test_verify_vertex_cap_skips_every_check_that_needs_p(capsys, flags, n, cap):
+    code, out, _ = run(capsys, "verify", *flags, "--max-vertices", str(cap))
     assert code == 0
     payload = parse_json(out)
     jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
     assert payload["ok"] is True
     checks = {c["name"]: c for c in payload["checks"]}
-    assert checks["zero-free"] == {
-        "name": "zero-free",
-        "status": "SKIP",
-        "detail": "graph has 12 vertices, exceeding the cap of 10",
-    }
-    assert checks["penrose-identity"]["status"] == "PASS"
+    detail = f"graph has {n} vertices, exceeding the cap of {cap}"
+    for name in ("penrose-identity", "partition-identity", "zero-free"):
+        assert checks[name] == {"name": name, "status": "SKIP", "detail": detail}
+    assert checks["activity-bound"]["status"] == "PASS"
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
@@ -304,14 +304,20 @@ def test_verify_on_the_empty_graph_skips_penrose(capsys, tmp_path):
     assert checks["zero-free"]["status"] == "PASS"
 
 
-def test_verify_polynomial_cap_skips_the_partition_check(capsys):
+def test_verify_polynomial_cap_skips_the_partition_check(capsys, monkeypatch):
+    # the cap comes first: no DP runs for a check that then SKIPs
+    def never(g):
+        raise AssertionError("a DP ran past --max-vertices")
+
+    monkeypatch.setattr(cli, "hardcore_partition", never)
+    monkeypatch.setattr(cli, "penrose_report", never)
     code, out, _ = run(
         capsys, "verify", "--family", "cycle", "--n", "8", "--max-vertices", "5"
     )
     assert code == 0
     checks = {c["name"]: c for c in parse_json(out)["checks"]}
     cap = "graph has 8 vertices, exceeding the cap of 5"
-    for name in ("partition-identity", "zero-free"):
+    for name in ("penrose-identity", "partition-identity", "zero-free"):
         assert checks[name] == {"name": name, "status": "SKIP", "detail": cap}
 
 
@@ -403,10 +409,7 @@ def test_verify_activity_check_names_the_exceeded_sizes(capsys, monkeypatch):
         ["--family", "random-regular", "--n", "8", "--seed", "1"],  # has a partition check
     ],
 )
-@pytest.mark.parametrize("cap", [polymer._CHROM_CACHE_CAP, 1])
-def test_verify_runs_deletion_contraction_once(capsys, monkeypatch, flags, cap):
-    # A graph whose memo outgrows the cap keeps it through its own checks.
-    monkeypatch.setattr(polymer, "_CHROM_CACHE_CAP", cap)
+def test_verify_runs_deletion_contraction_once(capsys, monkeypatch, flags):
     g = cli._resolve_graph(_build_parser().parse_args(["verify", *flags]), None)
     calls = []
     real = chromatic._pick_edge
@@ -461,13 +464,12 @@ def test_verify_output_does_not_depend_on_the_shared_memo(capsys):
     assert all(code == 0 for code, _, _ in fresh)
 
 
-def test_every_user_of_the_shared_memo_holds_its_cap(capsys, monkeypatch, tmp_path):
+def test_every_user_of_the_shared_memo_empties_another_graphs_entries(capsys, tmp_path):
     # K2,3 and a disjoint edge: K2,3 has no simplicial vertex, so its
     # polynomial goes through the memo, and the Penrose check SKIPs.
     g = Graph(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (5, 6)])
     path = tmp_path / "g.txt"
     path.write_text(f"7 {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
-    monkeypatch.setattr(polymer, "_CHROM_CACHE_CAP", 3)
     stale = {("stale", k): None for k in range(4)}
     other = generate_graph("cycle", n=5)
     args = argparse.Namespace(max_vertices=18)
@@ -511,18 +513,20 @@ def test_verify_with_fp_check(capsys):
     assert statuses["fp-condition"] == "PASS"
 
 
-def test_verify_fp_check_past_the_subset_cap_is_a_skip(capsys):
+def test_verify_fp_check_past_order_16_is_decided(capsys):
+    # only the signed-sum table's cap limits the order: cycle-18 at order
+    # 17 needs 306 connected sets, and its head alone exceeds e^a - 1
     code, out, _ = run(
         capsys, "verify", "--family", "cycle", "--n", "18", "--a", "0.5", "--order", "17"
     )
-    assert code == 0
+    assert code == 1
     payload = parse_json(out)
     jsonschema.validate(payload, VERIFY_OUTPUT_SCHEMA)
     checks = {c["name"]: c for c in payload["checks"]}
     assert checks["fp-condition"] == {
         "name": "fp-condition",
-        "status": "SKIP",
-        "detail": "subset enumeration capped at size 16",
+        "status": "FAIL",
+        "detail": "status=violated, head=0.715245, threshold=0.648721",
     }
     assert checks["activity-bound"]["status"] == "PASS"
 

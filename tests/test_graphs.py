@@ -346,32 +346,32 @@ def test_integer_signatures_order_equal_length_sorted_tuples():
 
 def test_parse_edge_list_roundtrip():
     text = "# a comment\n4 3\n0 1\n1 2\n2 3\n"
-    g = parse_graph(text, "edge-list")
+    g = parse_graph(text)
     assert g.n == 4 and g.m == 3
     assert g.has_edge(1, 2)
 
 
 def test_parse_edge_list_errors():
     with pytest.raises(GraphParseError):
-        parse_graph("2 1\n0 0\n", "edge-list")
+        parse_graph("2 1\n0 0\n")
     with pytest.raises(GraphParseError):
-        parse_graph("2 1\n0 5\n", "edge-list")
+        parse_graph("2 1\n0 5\n")
     with pytest.raises(GraphParseError):
-        parse_graph("nonsense\n", "edge-list")
+        parse_graph("nonsense\n")
 
 
 def test_parse_dimacs():
     text = "c comment\np edge 3 2\ne 1 2\ne 2 3\n"
-    g = parse_graph(text, "dimacs")
+    g = parse_graph(text)
     assert g.n == 3 and g.m == 2
     assert g.has_edge(0, 1) and g.has_edge(1, 2)
+    # the format comes from the text: a line starting "p " makes it DIMACS
+    assert parse_graph("c comment\n  p edge 2 1\ne 1 2\n").m == 1
     with pytest.raises(GraphParseError):
-        parse_graph("p edge 2 1\ne 0 1\n", "dimacs")
+        parse_graph("p edge 2 1\ne 0 1\n")
     for header in ("p edge 2 -1", "p edge -1 0"):
         with pytest.raises(GraphParseError, match="^line 2: negative count in header$"):
-            parse_graph(f"c comment\n{header}\n", "dimacs")
-    with pytest.raises(ValueError):
-        parse_graph("1 0\n", "adjacency")
+            parse_graph(f"c comment\n{header}\n")
 
 
 def test_generators_shape():

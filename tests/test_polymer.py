@@ -373,26 +373,28 @@ def test_partition_polynomial_is_the_coloring_polynomial(data):
     assert hardcore_partition(g) == chromatic_polynomial(g)
 
 
-def test_chrom_cache_is_emptied_past_its_cap(monkeypatch):
+def test_chrom_cache_holds_one_graphs_entries():
     graphs = [
         Graph(8, [(u, v) for u in range(4) for v in range(4, 8)]),  # K4,4
         generate_graph("petersen"),
         generate_graph("grid", rows=3, cols=3),
-        generate_graph("cycle", n=6),
         generate_graph("random-regular", n=10, degree=3, seed=7),
     ]
 
-    def reports():
-        return [penrose_report(g) for g in graphs]
+    def alone(g):
+        polymer._CHROM_CACHE.clear()
+        return penrose_report(g), dict(polymer._CHROM_CACHE)
 
+    fresh = [alone(g) for g in graphs]
+    assert all(entries for _, entries in fresh)
     polymer._CHROM_CACHE.clear()
-    uncapped = reports()
-    full = len(polymer._CHROM_CACHE)
-    monkeypatch.setattr(polymer, "_CHROM_CACHE_CAP", 3)
-    polymer._CHROM_CACHE.clear()
-    assert reports() == uncapped
-    assert full > 10
-    assert len(polymer._CHROM_CACHE) < full
+    for g, (report, entries) in zip(graphs, fresh):
+        # a report after another graph's leaves this graph's entries only
+        assert penrose_report(g) == report
+        assert polymer._CHROM_CACHE == entries
+        # and a second report on the same graph keeps them
+        assert penrose_report(g) == report
+        assert polymer._CHROM_CACHE == entries
     polymer._CHROM_CACHE.clear()
 
 
