@@ -344,98 +344,65 @@ def parse_graph(text: str) -> Graph:
     Text with a line starting "p " (any case, after leading blanks) is
     DIMACS ("p edge n m" then m lines "e u v", 1-based, "c" comment
     lines ignored); any other text is an edge list (header "n m", then m
-    lines "u v", 0-based, '#' comment lines ignored). Duplicate edges
+    lines "u v", 0-based, '#' comment lines ignored). Both are a header
+    of two counts and then m lines of two endpoints, read by one loop;
+    only DIMACS's tag on each line is checked apart. Duplicate edges
     collapse silently; self-loops and out-of-range endpoints are errors
-    naming the offending line.
+    naming the offending line and the index as the file writes it.
     """
-    if any(line.strip().lower().startswith("p ") for line in text.splitlines()):
-        return _parse_dimacs(text)
-    return _parse_edge_list(text)
-
-
-def _data_lines(text: str, comment: str) -> Iterator[tuple[int, str]]:
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment):
-            continue
-        yield i, line
-
-
-def _parse_edge_list(text: str) -> Graph:
-    lines = _data_lines(text, "#")
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise GraphParseError("empty input, expected 'n m' header") from None
-    n, m = _header_counts(header.split(), lineno, "header must be two integers 'n m'")
-    edges = []
-    count = 0
-    for lineno, line in lines:
-        count += 1
-        if count > m:
-            raise GraphParseError(f"more than the declared {m} edges", lineno)
-        edges.append(_parse_endpoint_pair(line, lineno, n, base=0))
-    if count < m:
-        raise GraphParseError(f"declared {m} edges, found {count}")
-    return Graph(n, edges)
-
-
-def _parse_dimacs(text: str) -> Graph:
+    lines = text.splitlines()
+    dimacs = any(line.strip().lower().startswith("p ") for line in lines)
+    if dimacs:
+        comment, base, usage = "c", 1, "problem line must be 'p edge n m'"
+    else:
+        comment, base, usage = "#", 0, "header must be two integers 'n m'"
     n = m = None
     edges = []
-    count = 0
-    for lineno, line in _data_lines(text, "c"):
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise GraphParseError("duplicate problem line", lineno)
-            usage = "problem line must be 'p edge n m'"
-            if fields[1:2] != ["edge"]:
-                raise GraphParseError(usage, lineno)
-            n, m = _header_counts(fields[2:], lineno, usage)
-        elif fields[0] == "e":
-            if n is None:
+        if not fields or fields[0].startswith(comment):
+            continue
+        if dimacs:
+            tag = fields.pop(0)
+            if tag not in ("p", "e"):
+                raise GraphParseError(f"unknown line type {tag!r}", lineno)
+            if tag == "e" and n is None:
                 raise GraphParseError("edge before problem line", lineno)
-            count += 1
-            if count > m:
-                raise GraphParseError(f"more than the declared {m} edges", lineno)
-            edges.append(_parse_endpoint_pair(line[1:].strip(), lineno, n, base=1))
-        else:
-            raise GraphParseError(f"unknown line type {fields[0]!r}", lineno)
+            if tag == "p":
+                if n is not None:
+                    raise GraphParseError("duplicate problem line", lineno)
+                if fields[:1] != ["edge"]:
+                    raise GraphParseError(usage, lineno)
+                del fields[0]
+        if n is None:
+            n, m = _two_ints(fields, lineno, usage)
+            if n < 0 or m < 0:
+                raise GraphParseError("negative count in header", lineno)
+            continue
+        if len(edges) == m:
+            raise GraphParseError(f"more than the declared {m} edges", lineno)
+        u, v = _two_ints(fields, lineno, "edge line must be two integers")
+        for w in (u, v):
+            if not base <= w < n + base:
+                raise GraphParseError(f"vertex index {w} out of range", lineno)
+        if u == v:
+            raise GraphParseError(f"self-loop at vertex {u}", lineno)
+        edges.append((u - base, v - base))
     if n is None:
-        raise GraphParseError("missing 'p edge n m' line")
-    if count < m:
-        raise GraphParseError(f"declared {m} edges, found {count}")
+        missing = "missing 'p edge n m' line" if dimacs else "empty input, expected 'n m' header"
+        raise GraphParseError(missing)
+    if len(edges) < m:
+        raise GraphParseError(f"declared {m} edges, found {len(edges)}")
     return Graph(n, edges)
 
 
-def _header_counts(parts: list[str], lineno: int, usage: str) -> tuple[int, int]:
-    """The vertex and edge counts of a header's two count fields."""
-    if len(parts) != 2:
-        raise GraphParseError(usage, lineno)
+def _two_ints(fields: list[str], lineno: int, usage: str) -> tuple[int, int]:
+    """The two integers of a header or edge line's fields."""
     try:
-        n, m = int(parts[0]), int(parts[1])
+        a, b = map(int, fields)
     except ValueError:
         raise GraphParseError(usage, lineno) from None
-    if n < 0 or m < 0:
-        raise GraphParseError("negative count in header", lineno)
-    return n, m
-
-
-def _parse_endpoint_pair(s: str, lineno: int, n: int, base: int) -> tuple[int, int]:
-    parts = s.split()
-    if len(parts) != 2:
-        raise GraphParseError("edge line must be two integers", lineno)
-    try:
-        u, v = int(parts[0]) - base, int(parts[1]) - base
-    except ValueError:
-        raise GraphParseError("edge line must be two integers", lineno) from None
-    for w in (u, v):
-        if not (0 <= w < n):
-            raise GraphParseError(f"vertex index {w + base} out of range", lineno)
-    if u == v:
-        raise GraphParseError(f"self-loop at vertex {u + base}", lineno)
-    return u, v
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,12 @@ def _s_table(masks: tuple[int, ...], max_size: int) -> dict[int, int]:
     table is built in increasing size: each finished Y adds -S(Y) to
     Y + J for every nonempty independent set J of vertices above v with
     a neighbour in Y. No disconnected set is reached, and one missing
-    from the table counts 0. The table holds at most 500000 sets and
-    raises ``ResourceLimitError`` beyond that.
+    from the table counts 0. Past 500000 visited splits (Y, J) the build
+    raises ``ResourceLimitError``; the count bounds the work, about 3^k
+    on a star of k leaves, and with it the table, about 2^k sets there.
     """
     table = {1 << v: 1 for v in range(len(masks))}
+    steps = 0
     by_size: list[list[int]] = [[], list(table)] + [[] for _ in range(max_size - 1)]
     for size in range(1, max_size):
         for y in by_size[size]:
@@ -101,13 +103,14 @@ def _s_table(masks: tuple[int, ...], max_size: int) -> dict[int, int]:
                 y_j, cand, k = stack.pop()
                 k += 1
                 while cand:
+                    steps += 1
+                    if steps > _DP_STATE_CAP:
+                        raise _state_cap_error("signed-sum")
                     b = cand & -cand
                     cand ^= b
                     x = y_j | b
                     prev = table.get(x)
                     if prev is None:
-                        if len(table) >= _DP_STATE_CAP:
-                            raise _state_cap_error("signed-sum")
                         table[x] = -s
                         by_size[k].append(x)
                     else:
@@ -315,8 +318,8 @@ def _norms_scaled(g: Graph, top: int) -> tuple[int, ...]:
     """The activity norms with their q-powers stripped off, at sizes 2 to
     ``top``: at size k, the largest sum over a vertex x of |S| over the
     size-k monomers that hold x. One table of signed sums gives them all;
-    it raises ``ResourceLimitError`` past its 500000 sets, whatever
-    ``top`` is."""
+    its build raises ``ResourceLimitError`` past 500000 visited splits,
+    whatever ``top`` is."""
     totals = [[0] * g.n for _ in range(top + 1)]
     for mask, s in _s_table(g.adjacency_masks, min(top, g.n)).items():
         at_size, s = totals[mask.bit_count()], abs(s)
@@ -407,7 +410,8 @@ def check_fp_condition(g: Graph, q: float, a: float, order: int) -> FpConditionR
     "inconclusive" otherwise, in particular whenever the tail ratio
     reaches 1 and certification is impossible. The head takes the signed
     sum of every connected set of at most ``order`` vertices from one
-    table, whose 500000-set cap is the only limit on ``order``.
+    table, whose cap of 500000 visited splits is the only limit on
+    ``order``.
     """
     if not 0 < q < math.inf:
         raise ValueError("q must be positive and finite")

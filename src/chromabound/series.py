@@ -42,12 +42,6 @@ class TruncatedSeries:
         if any(not isinstance(c, int) for c in self.coefficients):
             raise TypeError("coefficients must be integers")
 
-    def coefficient(self, n: int) -> int:
-        """The coefficient of x^n, for 1 <= n <= order."""
-        if not 1 <= n <= self.order:
-            raise IndexError(f"coefficient index {n} outside 1..{self.order}")
-        return self.coefficients[n - 1]
-
     def __call__(self, x):
         acc = 0 * x
         for c in reversed(self.coefficients):

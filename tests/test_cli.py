@@ -515,7 +515,7 @@ def test_verify_with_fp_check(capsys):
 
 def test_verify_fp_check_past_order_16_is_decided(capsys):
     # only the signed-sum table's cap limits the order: cycle-18 at order
-    # 17 needs 306 connected sets, and its head alone exceeds e^a - 1
+    # 17 visits 528 splits, and its head alone exceeds e^a - 1
     code, out, _ = run(
         capsys, "verify", "--family", "cycle", "--n", "18", "--a", "0.5", "--order", "17"
     )
@@ -531,9 +531,22 @@ def test_verify_fp_check_past_order_16_is_decided(capsys):
     assert checks["activity-bound"]["status"] == "PASS"
 
 
+def test_verify_stops_the_signed_sums_of_a_star_at_the_cap(capsys):
+    # A star of 12 leaves holds 4108 connected sets up to order 16, far
+    # under the cap, but its build visits more than 500000 splits.
+    code, out, _ = run(capsys, "verify", "--family", "star", "--n", "12", "--a", "0.5")
+    assert code == 0
+    checks = {c["name"]: c for c in parse_json(out)["checks"]}
+    assert checks["fp-condition"] == {
+        "name": "fp-condition",
+        "status": "SKIP",
+        "detail": "the signed-sum DP visited more than 500000 states, its cap",
+    }
+
+
 def test_verify_signed_sum_table_cap_is_a_skip(capsys, monkeypatch):
-    # K5 has 15 vertex sets of size at most 2, so even the size-2 activity
-    # norm needs a table past a cap of 10.
+    # K5's table to size 5 visits 49 splits, past a cap of 10, so both
+    # checks built on the table stop.
     monkeypatch.setattr(polymer, "_DP_STATE_CAP", 10)
     code, out, _ = run(capsys, "verify", "--family", "complete", "--n", "5")
     assert code == 0

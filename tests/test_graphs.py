@@ -374,6 +374,70 @@ def test_parse_dimacs():
             parse_graph(f"c comment\n{header}\n")
 
 
+# Every message of the reader with its line, in both formats. "missing 'p
+# edge n m' line" has no row: a text is read as DIMACS only when it holds
+# a "p " line, and that line sets the header or raises first.
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("", None, "empty input, expected 'n m' header"),
+        ("# only a comment\n\n", None, "empty input, expected 'n m' header"),
+        ("x y\n", 1, "header must be two integers 'n m'"),
+        ("# c\n3\n", 2, "header must be two integers 'n m'"),
+        ("c 3 2\n", 1, "header must be two integers 'n m'"),
+        ("3 -1\n", 1, "negative count in header"),
+        ("2 1\n0 1\n\n1 0\n", 4, "more than the declared 1 edges"),
+        ("3 2\n0 1\n", None, "declared 2 edges, found 1"),
+        ("2 1\n0 1 1\n", 2, "edge line must be two integers"),
+        ("2 1\n0 x\n", 2, "edge line must be two integers"),
+        ("2 1\n0 2\n", 2, "vertex index 2 out of range"),
+        ("2 1\n-1 0\n", 2, "vertex index -1 out of range"),
+        ("2 1\n1 1\n", 2, "self-loop at vertex 1"),
+        ("p edge x 1\n", 1, "problem line must be 'p edge n m'"),
+        ("c\np col 3 1\n", 2, "problem line must be 'p edge n m'"),
+        ("p edge 3\n", 1, "problem line must be 'p edge n m'"),
+        ("c\np edge 2 -1\n", 2, "negative count in header"),
+        ("p edge 2 0\np edge 2 0\n", 2, "duplicate problem line"),
+        ("e 1 2\np edge 2 1\n", 1, "edge before problem line"),
+        ("p edge 2 1\nx 1 2\n", 2, "unknown line type 'x'"),
+        ("p edge 2 0\n# a comment\n", 2, "unknown line type '#'"),
+        ("P edge 2 0\n", 1, "unknown line type 'P'"),
+        ("p edge 2 1\ne 1 2\nc\ne 2 1\n", 4, "more than the declared 1 edges"),
+        ("p edge 3 2\ne 1 2\n", None, "declared 2 edges, found 1"),
+        ("p edge 2 1\ne 1\n", 2, "edge line must be two integers"),
+        ("p edge 2 1\ne 0 1\n", 2, "vertex index 0 out of range"),
+        ("p edge 2 1\ne 1 3\n", 2, "vertex index 3 out of range"),
+        ("p edge 2 1\ne 2 2\n", 2, "self-loop at vertex 2"),
+    ],
+)
+def test_parse_errors_name_their_line(text, line, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+@st.composite
+def _edge_lines(draw):
+    """A vertex count up to 8 and edge lines, repeated, in either orientation."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lines(), st.data())
+def test_both_formats_read_back_any_small_graph(model, data):
+    n, edges = model
+    for comment, base, header, tag in (("#", 0, "", ""), ("c", 1, "p edge ", "e ")):
+        lines = [f"{header}{n} {len(edges)}"]
+        lines += [f"{tag}{u + base} {v + base}" for u, v in edges]
+        for _ in range(data.draw(st.integers(0, 4))):
+            filler = data.draw(st.sampled_from(["", "   ", "\t", f"  {comment} note"]))
+            lines.insert(data.draw(st.integers(0, len(lines))), filler)
+        assert parse_graph("\n".join(lines) + "\n") == Graph(n, edges)
+
+
 def test_generators_shape():
     assert generate_graph("complete", n=5).m == 10
     assert generate_graph("cycle", n=6).degrees() == (2,) * 6

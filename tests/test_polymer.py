@@ -153,6 +153,27 @@ def test_s_table_stops_at_the_state_cap(monkeypatch):
         check_fp_condition(k5, 11.0, 0.5, 8)
 
 
+@pytest.mark.parametrize(
+    "name, kwargs, size, splits",
+    [
+        ("complete", {"n": 5}, 5, 49),
+        ("cycle", {"n": 18}, 17, 528),
+        ("petersen", {}, 10, 3971),
+        ("star", {"n": 10}, 11, 58025),
+        ("star", {"n": 11}, 12, 175099),
+    ],
+)
+def test_the_signed_sum_dp_visits_a_pinned_number_of_splits(monkeypatch, name, kwargs, size, splits):
+    # The cap counts the work, every split (Y, J) visited, not the table:
+    # a star of k leaves visits about 3^k splits for about 2^k sets.
+    masks = generate_graph(name, **kwargs).adjacency_masks
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", splits)
+    polymer._s_table(masks, size)
+    monkeypatch.setattr(polymer, "_DP_STATE_CAP", splits - 1)
+    with pytest.raises(ResourceLimitError, match=f"signed-sum DP visited more than {splits - 1} states"):
+        polymer._s_table(masks, size)
+
+
 def test_spanning_tree_enumeration_counts():
     for g, want in [
         (generate_graph("complete", n=3), 3),

