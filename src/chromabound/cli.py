@@ -85,7 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a", type=float, help="run the convergence check at this a")
     p_verify.add_argument("--order", type=int, default=16, help="series order of the --a check")
     p_verify.add_argument(
-        "--max-vertices", type=int, default=_DEFAULT_VERTEX_CAP, help="polynomial-computation cap"
+        "--max-vertices",
+        type=int,
+        default=_DEFAULT_VERTEX_CAP,
+        help="vertex cap of the checks that need the chromatic polynomial; up to 25 is in reach",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import ChromaboundError, GraphParseError
+from .errors import GraphParseError
 from .polynomial import IntPolynomial
 
 
@@ -343,8 +343,9 @@ def parse_graph(text: str) -> Graph:
 
     Text with a line starting "p " (any case, after leading blanks) is
     DIMACS ("p edge n m" then m lines "e u v", 1-based, "c" comment
-    lines ignored); any other text is an edge list (header "n m", then m
-    lines "u v", 0-based, '#' comment lines ignored). Both are a header
+    lines ignored, the tags p, e and c in any case); any other text is
+    an edge list (header "n m", then m lines "u v", 0-based, '#' comment
+    lines ignored). Both are a header
     of two counts and then m lines of two endpoints, read by one loop;
     only DIMACS's tag on each line is checked apart. Duplicate edges
     collapse silently; self-loops and out-of-range endpoints are errors
@@ -360,15 +361,16 @@ def parse_graph(text: str) -> Graph:
     edges = []
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
-        if not fields or fields[0].startswith(comment):
+        if not fields or fields[0].lower().startswith(comment):
             continue
         if dimacs:
             tag = fields.pop(0)
-            if tag not in ("p", "e"):
+            kind = tag.lower()
+            if kind not in ("p", "e"):
                 raise GraphParseError(f"unknown line type {tag!r}", lineno)
-            if tag == "e" and n is None:
+            if kind == "e" and n is None:
                 raise GraphParseError("edge before problem line", lineno)
-            if tag == "p":
+            if kind == "p":
                 if n is not None:
                     raise GraphParseError("duplicate problem line", lineno)
                 if fields[:1] != ["edge"]:
@@ -388,9 +390,8 @@ def parse_graph(text: str) -> Graph:
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
         edges.append((u - base, v - base))
-    if n is None:
-        missing = "missing 'p edge n m' line" if dimacs else "empty input, expected 'n m' header"
-        raise GraphParseError(missing)
+    if n is None:  # a DIMACS text has a "p" line, which sets n or raises
+        raise GraphParseError("empty input, expected 'n m' header")
     if len(edges) < m:
         raise GraphParseError(f"declared {m} edges, found {len(edges)}")
     return Graph(n, edges)
@@ -435,8 +436,10 @@ def generate_graph(
     complete(n), cycle(n >= 3), path(n), star(leaves), grid(rows, cols)
     (or grid(n) for the square), petersen(), random-regular(n, degree,
     seed). The random-regular sampler is the pairing model with
-    rejection, reproducible from the seed. ``ValueError`` names any
-    parameter given that the family does not take.
+    rejection, reproducible from the seed; after 2000 rejected pairings
+    it pairs the stubs one edge at a time (``_pair_stubs_one_by_one``),
+    which always finishes but is not exactly uniform. ``ValueError``
+    names any parameter given that the family does not take.
     """
     fam = family.lower().replace("_", "-")
     if fam not in _FAMILY_PARAMS:
@@ -514,7 +517,37 @@ def _random_regular(n: int, degree: int, seed: int | None) -> Graph:
         # simple: no loop (a pair of one vertex) and no repeated pair
         if len(pairs) == len(stubs) // 2 and all(len(p) == 2 for p in pairs):
             return Graph(n, map(tuple, pairs))
-    raise ChromaboundError("random-regular sampling failed to produce a simple graph")
+    return _pair_stubs_one_by_one(n, degree, rng)
+
+
+def _pair_stubs_one_by_one(n: int, degree: int, rng: random.Random) -> Graph:
+    """A degree-regular simple graph by pairing that rejects single bad
+    pairs (Steger & Wormald, Combin. Probab. Comput. 8, 1999).
+
+    Two random stubs left make an edge unless they would make a loop or
+    a repeated edge; such a pair alone is drawn again. When no two stubs
+    left can make an edge, the attempt starts over. Every degree-regular
+    graph on n vertices can come out of an attempt, so the loop ends with
+    probability 1, but the graphs are not exactly uniform.
+    """
+    while True:
+        masks = [0] * n
+        stubs = [v for v in range(n) for _ in range(degree)]
+        while stubs:
+            i, j = rng.sample(range(len(stubs)), 2)
+            u, v = stubs[i], stubs[j]
+            if u != v and not masks[u] >> v & 1:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                for k in sorted((i, j), reverse=True):
+                    stubs[k] = stubs[-1]
+                    stubs.pop()
+                continue
+            left = sum(1 << w for w in set(stubs))
+            if not any(left & ~masks[w] & ~(1 << w) for w in _mask_bits(left)):
+                break
+        else:
+            return Graph.from_masks(masks)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,17 @@ vectors coefficientwise. The S of every connected set of a graph at
 once comes from one subset recursion, the exponential formula solved
 at each set's lowest vertex; the S of a whole graph, in the Penrose
 report, is the linear coefficient of its coloring polynomial, taken
-from the deletion-contraction engine through ``_CHROM_CACHE``, the
-memo of one graph's subresults that ``verify``'s other polynomial
-checks share, so that one ``verify`` runs deletion-contraction once.
+from ``chromatic``'s engines (deletion-contraction below 13 core
+vertices, the frontier DP from 13) through ``_CHROM_CACHE``, the memo
+of one graph's subresults that ``verify``'s other polynomial checks
+share, so that one ``verify`` computes the polynomial once.
 The module counts the rooted spanning trees that meet the generation
 conditions under which the signed sum collapses to a single count, the
 Penrose trees, by a subset DP over their layerings. It memoizes its
 states, multiplies over the components of the vertices still to place
-and stops at the state cap, which carries it to 16-18-vertex graphs.
+and stops at the state cap that every exponential DP of the package
+shares, ``chromatic._DP_STATE_CAP``, which carries it to 16-18-vertex
+graphs.
 The convergence check bounds its geometric tail with a certificate.
 The tests hold S and the Penrose count to brute-force oracles of their
 own: an edge-subset enumeration and a census of every spanning tree.
@@ -32,8 +35,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .chromatic import _chrom, _vertex_cap
-from .errors import ResourceLimitError
+from . import chromatic
+from .chromatic import _chrom, _state_cap_error, _vertex_cap
 from .graphs import (
     Graph,
     _components_masks,
@@ -43,7 +46,6 @@ from .graphs import (
 from .polynomial import IntPolynomial
 from .series import solve_tree_series
 
-_DP_STATE_CAP = 500_000
 _PARTITION_VERTEX_CAP = 8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -86,7 +88,7 @@ def _s_table(masks: tuple[int, ...], max_size: int) -> dict[int, int]:
     on a star of k leaves, and with it the table, about 2^k sets there.
     """
     table = {1 << v: 1 for v in range(len(masks))}
-    steps = 0
+    steps, cap = 0, chromatic._DP_STATE_CAP
     by_size: list[list[int]] = [[], list(table)] + [[] for _ in range(max_size - 1)]
     for size in range(1, max_size):
         for y in by_size[size]:
@@ -104,7 +106,7 @@ def _s_table(masks: tuple[int, ...], max_size: int) -> dict[int, int]:
                 k += 1
                 while cand:
                     steps += 1
-                    if steps > _DP_STATE_CAP:
+                    if steps > cap:
                         raise _state_cap_error("signed-sum")
                     b = cand & -cand
                     cand ^= b
@@ -140,8 +142,8 @@ class PenroseReport:
 def penrose_report(g: Graph) -> PenroseReport:
     """Count the Penrose trees and set them against the signed sum.
 
-    S is the linear coefficient of the coloring polynomial, from the
-    deletion-contraction engine. The two counts come from elsewhere:
+    S is the linear coefficient of the coloring polynomial, from
+    ``chromatic``'s engines. The two counts come from elsewhere:
     ``tree_count`` is Kirchhoff's count and ``penrose_count`` the
     layering DP, so the collapse identity compares independent
     computations. The DP visits at most 500000 states and raises
@@ -152,18 +154,12 @@ def penrose_report(g: Graph) -> PenroseReport:
     if not g.is_connected():
         raise ValueError("signed sum is defined for connected graphs only")
     masks = g.adjacency_masks
-    # the DP first: past its cap it raises before deletion-contraction runs
+    # the DP first: past its cap it raises before the polynomial is computed
     penrose = _penrose_layerings(masks, ((1 << g.n) - 1) & ~1)
     return PenroseReport(
         s_value=_chrom(masks, _chrom_memo(g)).coefficients[1],
         tree_count=spanning_tree_count(g),
         penrose_count=penrose,
-    )
-
-
-def _state_cap_error(dp: str) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"the {dp} DP visited more than {_DP_STATE_CAP} states, its cap"
     )
 
 
@@ -204,15 +200,15 @@ def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
     set: in one of two or more vertices every candidate has an unplaced
     neighbour, and a single vertex is its own only candidate, so no
     candidate has to join the next generation for want of a later
-    parent, and no such candidate is looked for. Past ``_DP_STATE_CAP``
-    visited states the DP raises ``ResourceLimitError``. Counts are
-    memoized on the state, and the memo is emptied on the way out: the
-    recursive closure is a reference cycle, which would keep it until
-    the next garbage collection.
+    parent, and no such candidate is looked for. Past
+    ``chromatic._DP_STATE_CAP`` visited states the DP raises
+    ``ResourceLimitError``. Counts are memoized on the state, and the
+    memo is emptied on the way out: the recursive closure is a reference
+    cycle, which would keep it until the next garbage collection.
     """
     n = len(masks)
     memo: dict[int, int] = {}
-    steps = 0
+    steps, cap = 0, chromatic._DP_STATE_CAP
 
     def count(rest: int, cand: int) -> int:
         nonlocal steps
@@ -224,7 +220,7 @@ def _penrose_layerings(masks: tuple[int, ...], rest: int) -> int:
                 total = 0
                 for layer, reach in _independent_subsets(masks, cand):
                     steps += 1
-                    if steps > _DP_STATE_CAP:
+                    if steps > cap:
                         raise _state_cap_error("Penrose layering")
                     left = rest & ~layer
                     if not left:

@@ -413,3 +413,47 @@ def _truncated_product(a: list[int], b: list[int], n: int) -> list[int]:
         for j, y in enumerate(b[: n + 1 - i]):
             out[i + j] += x * y
     return out
+
+
+def colorings_by_independent_partitions(g: Graph, qs) -> list[int]:
+    """P(q) for each q in qs, as sum over k of a_k q(q-1)...(q-k+1).
+
+    a_k is the number of partitions of the vertices into k independent
+    sets: the color classes of the colorings that use exactly k colors,
+    before the colors are named. The blocks are chosen one at a time, each
+    the block of the lowest vertex left, with a memo on the set left. Its
+    work grows with the number of independent sets, so it suits dense
+    graphs, where deletion-contraction does not.
+    """
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    memo = {0: [1]}
+
+    def partitions(left: int) -> list[int]:
+        """a_k of the graph induced on ``left``, at k = 0, 1, ..."""
+        if left not in memo:
+            low = left & -left
+            total = [0] * (left.bit_count() + 1)
+            stack = [(low, left & ~low & ~adj[low.bit_length() - 1])]
+            while stack:
+                block, free = stack.pop()
+                for k, c in enumerate(partitions(left & ~block)):
+                    total[k + 1] += c
+                while free:
+                    b = free & -free
+                    free ^= b
+                    stack.append((block | b, free & ~adj[b.bit_length() - 1]))
+            memo[left] = total
+        return memo[left]
+
+    counts = partitions((1 << g.n) - 1)
+    values = []
+    for q in qs:
+        falling, value = 1, 0
+        for k, a in enumerate(counts):
+            value += a * falling
+            falling *= q - k
+        values.append(value)
+    return values

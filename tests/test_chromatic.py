@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabound import (
     Graph,
     ResourceLimitError,
+    chromatic,
     chromatic_polynomial,
     count_proper_colorings,
     generate_graph,
 )
 from chromabound.chromatic import _edge_bit_masks
 from chromabound.polynomial import X
-from reference_oracles import colorings_by_inclusion_exclusion
+from reference_oracles import colorings_by_inclusion_exclusion, colorings_by_independent_partitions
 
 
 def test_known_polynomials():
@@ -196,3 +199,83 @@ def test_polynomial_matches_inclusion_exclusion_past_the_coloring_oracle_cap(g):
     # count_proper_colorings stops at q^n = 2^20; this oracle has no such cap
     p = chromatic_polynomial(g)
     assert [p(q) for q in range(5)] == colorings_by_inclusion_exclusion(g, range(5))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_graph("grid", rows=4, cols=4),
+        generate_graph("random-regular", n=16, degree=3, seed=1),
+        _line_graph(generate_graph("random-regular", n=10, degree=3, seed=1)),
+    ],
+    ids=["grid-4x4", "random-regular-16-3", "line-graph-of-cubic-10"],
+)
+def test_the_frontier_dp_and_deletion_contraction_agree(monkeypatch, g):
+    # the threshold below and then above g's size, so that each engine runs
+    cores = []
+    frontier = chromatic._frontier_chrom
+    monkeypatch.setattr(chromatic, "_frontier_chrom", lambda masks: frontier(cores.append(masks) or masks))
+    monkeypatch.setattr(chromatic, "_FRONTIER_MIN_VERTICES", 1)
+    by_frontier = chromatic_polynomial(g)
+    assert [len(core) for core in cores] == [g.n]
+    monkeypatch.setattr(chromatic, "_FRONTIER_MIN_VERTICES", g.n + 1)
+    assert chromatic_polynomial(g) == by_frontier
+    assert len(cores) == 1
+
+
+def test_the_frontier_dp_on_a_dense_graph_matches_its_independent_set_partitions():
+    # 11-regular on 16 vertices: deletion-contraction takes minutes here
+    sparse = generate_graph("random-regular", n=16, degree=4, seed=2)
+    g = Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16) if not sparse.has_edge(u, v)])
+    p = chromatic_polynomial(g)
+    assert [p(q) for q in range(g.n + 1)] == colorings_by_independent_partitions(g, range(g.n + 1))
+    assert p(6) == 0 < p(7)
+
+
+@st.composite
+def _graphs_of_nine_to_twelve_vertices(draw):
+    """A Hamiltonian cycle through shuffled labels and 1 to n chords: a
+    connected graph, seldom with a simplicial vertex, so that most of
+    them reach the frontier DP whole. At most n chords, since
+    deletion-contraction, the reference, slows down on dense graphs."""
+    n = draw(st.integers(9, 12))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chords = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=n))
+    return Graph(n, [(perm[i - 1], perm[i]) for i in range(n)] + sorted(chords))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graphs_of_nine_to_twelve_vertices())
+def test_the_frontier_dp_from_nine_vertices_matches_deletion_contraction(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(chromatic, "_FRONTIER_MIN_VERTICES", 9)
+        by_frontier = chromatic_polynomial(g)
+    assert by_frontier == chromatic_polynomial(g)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, states",
+    [
+        ("random-regular", {"n": 18, "degree": 3, "seed": 1}, 300),
+        ("random-regular", {"n": 16, "degree": 4, "seed": 2}, 2970),
+        ("grid", {"rows": 5, "cols": 5}, 294),
+    ],
+)
+def test_the_frontier_dp_creates_a_pinned_number_of_states(monkeypatch, name, kwargs, states):
+    # At a cap of `states` the DP finishes, and one below it the DP stops.
+    g = generate_graph(name, **kwargs)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", states)
+    assert chromatic_polynomial(g, max_vertices=g.n)(2) == (2 if name == "grid" else 0)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", states - 1)
+    with pytest.raises(ResourceLimitError, match=f"^the frontier DP visited more than {states - 1} states, its cap$"):
+        chromatic_polynomial(g, max_vertices=g.n)
+
+
+def test_the_frontier_result_is_kept_under_the_cores_own_masks():
+    # a second call on the same graph takes P from the memo, not the DP
+    g = generate_graph("random-regular", n=16, degree=3, seed=1)
+    cache = {}
+    p = chromatic_polynomial(g, cache=cache)
+    assert cache == {g.adjacency_masks: p}
+    assert chromatic_polynomial(g, cache=cache) == p

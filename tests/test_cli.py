@@ -224,7 +224,7 @@ def test_verify_complete_10_passes_penrose_identity(capsys):
 
 
 def _verify_penrose_at_cap(capsys, monkeypatch, cap):
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", cap)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", cap)
     code, out, _ = run(
         capsys, "verify", "--family", "random-regular", "--n", "12", "--delta", "4", "--seed", "2"
     )
@@ -433,6 +433,33 @@ def test_verify_runs_deletion_contraction_once(capsys, monkeypatch, flags):
     assert len(calls) == once
 
 
+def test_verify_runs_the_frontier_dp_once(capsys, monkeypatch):
+    # 16 vertices: the Penrose and zero-free checks share the DP's result
+    cores = []
+    real = chromatic._frontier_chrom
+    monkeypatch.setattr(chromatic, "_frontier_chrom", lambda masks: real(cores.append(masks) or masks))
+    polymer._CHROM_CACHE.clear()
+    code, out, _ = run(capsys, "verify", "--family", "random-regular", "--n", "16", "--seed", "1")
+    polymer._CHROM_CACHE.clear()
+    assert code == 0
+    statuses = {c["name"]: c["status"] for c in parse_json(out)["checks"]}
+    assert statuses["penrose-identity"] == statuses["zero-free"] == "PASS"
+    assert [len(core) for core in cores] == [16]
+
+
+def test_verify_skips_the_zero_free_check_at_the_frontier_dps_cap(capsys, monkeypatch):
+    # The frontier DP creates 92 states on this graph.
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", 91)
+    code, out, _ = run(capsys, "verify", "--family", "random-regular", "--n", "16", "--seed", "1")
+    assert code == 0
+    checks = {c["name"]: c for c in parse_json(out)["checks"]}
+    assert checks["zero-free"] == {
+        "name": "zero-free",
+        "status": "SKIP",
+        "detail": "the frontier DP visited more than 91 states, its cap",
+    }
+
+
 # The nine graphs of the verify-cli benchmark workload
 BENCHMARK_FAMILIES = [
     ["--family", "petersen"],
@@ -547,7 +574,7 @@ def test_verify_stops_the_signed_sums_of_a_star_at_the_cap(capsys):
 def test_verify_signed_sum_table_cap_is_a_skip(capsys, monkeypatch):
     # K5's table to size 5 visits 49 splits, past a cap of 10, so both
     # checks built on the table stop.
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", 10)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", 10)
     code, out, _ = run(capsys, "verify", "--family", "complete", "--n", "5")
     assert code == 0
     payload = parse_json(out)

@@ -22,6 +22,7 @@ from chromabound import (
     neighborhood_profile,
     parse_graph,
 )
+from chromabound import graphs
 from chromabound.graphs import _canonical_masks, _components_masks
 from reference_oracles import connected_sets_masks, reference_canonical_masks
 
@@ -374,9 +375,12 @@ def test_parse_dimacs():
             parse_graph(f"c comment\n{header}\n")
 
 
-# Every message of the reader with its line, in both formats. "missing 'p
-# edge n m' line" has no row: a text is read as DIMACS only when it holds
-# a "p " line, and that line sets the header or raises first.
+def test_dimacs_tags_are_read_in_any_case():
+    assert parse_graph("P edge 2 0\n") == Graph(2, [])
+    assert parse_graph("C note\nP edge 3 2\nE 1 2\ne 2 3\n") == Graph(3, [(0, 1), (1, 2)])
+
+
+# Every message of the reader with its line, in both formats.
 @pytest.mark.parametrize(
     "text, line, message",
     [
@@ -401,7 +405,7 @@ def test_parse_dimacs():
         ("e 1 2\np edge 2 1\n", 1, "edge before problem line"),
         ("p edge 2 1\nx 1 2\n", 2, "unknown line type 'x'"),
         ("p edge 2 0\n# a comment\n", 2, "unknown line type '#'"),
-        ("P edge 2 0\n", 1, "unknown line type 'P'"),
+        ("P edge 2 1\nE 1 2\nX 2 1\n", 3, "unknown line type 'X'"),
         ("p edge 2 1\ne 1 2\nc\ne 2 1\n", 4, "more than the declared 1 edges"),
         ("p edge 3 2\ne 1 2\n", None, "declared 2 edges, found 1"),
         ("p edge 2 1\ne 1\n", 2, "edge line must be two integers"),
@@ -482,6 +486,17 @@ def test_random_regular_is_regular_and_reproducible():
     assert g3.degrees() == (3,) * 10
     with pytest.raises(ValueError):
         generate_graph("random-regular", n=5, degree=3, seed=1)  # odd n*d
+
+
+def test_random_regular_pairs_stub_by_stub_when_the_pairing_model_fails(monkeypatch):
+    # the pairing model makes no simple 6-regular graph on 18 vertices in 2000 tries
+    fallbacks = []
+    real = graphs._pair_stubs_one_by_one
+    monkeypatch.setattr(graphs, "_pair_stubs_one_by_one", lambda *args: real(*fallbacks.append(args) or args))
+    g = generate_graph("random-regular", n=18, degree=6, seed=1)
+    assert len(fallbacks) == 1
+    assert g.degrees() == (6,) * 18
+    assert g == generate_graph("random-regular", n=18, degree=6, seed=1)
 
 
 def test_profile_complete_graph():

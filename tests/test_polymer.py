@@ -26,7 +26,7 @@ from chromabound import (
     t_n_delta,
     verify_cn_bound,
 )
-from chromabound import polymer
+from chromabound import chromatic, polymer
 from reference_oracles import (
     EnumerationCapError,
     RootedSpanningTree,
@@ -142,7 +142,7 @@ def test_s_table_matches_the_edge_subset_oracle(data):
 def test_s_table_stops_at_the_state_cap(monkeypatch):
     k5 = generate_graph("complete", n=5)
     assert len(polymer._s_table(k5.adjacency_masks, 5)) == 31
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", 30)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", 30)
     with pytest.raises(ResourceLimitError, match="more than 30 states"):
         polymer._s_table(k5.adjacency_masks, 5)
     with pytest.raises(ResourceLimitError):
@@ -167,9 +167,9 @@ def test_the_signed_sum_dp_visits_a_pinned_number_of_splits(monkeypatch, name, k
     # The cap counts the work, every split (Y, J) visited, not the table:
     # a star of k leaves visits about 3^k splits for about 2^k sets.
     masks = generate_graph(name, **kwargs).adjacency_masks
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", splits)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", splits)
     polymer._s_table(masks, size)
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", splits - 1)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", splits - 1)
     with pytest.raises(ResourceLimitError, match=f"signed-sum DP visited more than {splits - 1} states"):
         polymer._s_table(masks, size)
 
@@ -314,9 +314,9 @@ def test_the_tree_dps_visit_a_pinned_number_of_states(monkeypatch, name, kwargs,
     # of `states` the layering DP finishes, and one below it the DP stops.
     g = generate_graph(name, **kwargs)
     masks, rest = g.adjacency_masks, ((1 << g.n) - 1) & ~1
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", states)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", states)
     polymer._penrose_layerings(masks, rest)
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", states - 1)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", states - 1)
     with pytest.raises(ResourceLimitError, match=f"Penrose layering DP visited more than {states - 1} states"):
         polymer._penrose_layerings(masks, rest)
 
@@ -330,7 +330,7 @@ def test_the_penrose_report_holds_the_signed_sum_and_two_tree_counts():
 def test_a_cap_the_layering_dp_fits_under_gives_the_whole_report(monkeypatch):
     # The layering DP needs 13569 states on this graph, so at a cap of
     # 50000 the report is complete: nothing else in it counts states.
-    monkeypatch.setattr(polymer, "_DP_STATE_CAP", 50_000)
+    monkeypatch.setattr(chromatic, "_DP_STATE_CAP", 50_000)
     g = generate_graph("random-regular", n=12, degree=4, seed=2)
     assert penrose_report(g) == PenroseReport(-32176, 366832, 32176)
     assert spanning_tree_count(g) == 366832
